@@ -1,6 +1,7 @@
 //! **Perf gate** — seeded workload suite with a committed baseline.
 //!
-//! Runs three fixed workloads (a fig5 census slice, a threaded executor
+//! Runs fixed workloads (a fig5 census slice, a single paper-regime N = 500
+//! census run, probe-heavy fixed-point checks, a threaded executor
 //! multiply, the serial kij kernel), records median-of-k wall times plus
 //! seeded-deterministic counters into `BENCH_current.json`, and compares
 //! against the committed `BENCH_baseline.json`:
@@ -62,6 +63,7 @@ struct Workload {
 
 fn workloads(quick: bool) -> Vec<Workload> {
     let (census_n, census_runs) = if quick { (16, 4) } else { (48, 60) };
+    let large_n = if quick { 40 } else { 500 };
     let exec_n = if quick { 16 } else { 64 };
     let kernel_n = if quick { 24 } else { 256 };
     let (probe_n, probe_parts, probe_reps) = if quick { (16, 2, 3) } else { (96, 4, 80) };
@@ -69,11 +71,27 @@ fn workloads(quick: bool) -> Vec<Workload> {
     vec![
         Workload {
             name: "fig5_census_slice",
-            counter_prefixes: &["dfa.push."],
+            counter_prefixes: &["dfa.push.", "push.prepare."],
             run: Box::new(move || {
                 let report = census(
                     &CensusConfig::new(census_n, Ratio::new(2, 1, 1))
                         .with_runs(census_runs)
+                        .with_seed0(1),
+                );
+                assert_eq!(report.unconverged, 0, "census must converge");
+            }),
+        },
+        Workload {
+            // One census run at N = 500, where `prepare`'s sweep over the
+            // enclosing rectangle is most of a push; the N = 48 slice
+            // above hides that term. The `push.prepare.*` work counters
+            // pin the sweep's cost exactly.
+            name: "census_n500_single",
+            counter_prefixes: &["dfa.push.", "push.prepare.", "push.probe"],
+            run: Box::new(move || {
+                let report = census(
+                    &CensusConfig::new(large_n, Ratio::new(2, 1, 1))
+                        .with_runs(1)
                         .with_seed0(1),
                 );
                 assert_eq!(report.unconverged, 0, "census must converge");
@@ -93,7 +111,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         },
         Workload {
             name: "push_probe_fixed_point",
-            counter_prefixes: &["push.probe"],
+            counter_prefixes: &["push.probe", "push.prepare."],
             run: Box::new(move || {
                 // Probe-heavy fixed-point checking: condense a handful of
                 // seeded random partitions, then hammer the 12-pair
@@ -121,7 +139,7 @@ fn workloads(quick: bool) -> Vec<Workload> {
         },
         Workload {
             name: "dfa_probe_cache",
-            counter_prefixes: &["push.probe"],
+            counter_prefixes: &["push.probe", "push.prepare."],
             run: Box::new(move || {
                 // Warm probe path: seeded DFA runs answer repeat
                 // (proc, dir) rejections from the hash-verified

@@ -64,7 +64,7 @@ fn gate_passes_against_fresh_baseline_and_fails_under_slowdown() {
     let current_text = std::fs::read_to_string(&current).unwrap();
     let suite: hetmmm_report::BenchSuite = serde_json::from_str(&current_text).unwrap();
     assert_eq!(suite.v, hetmmm_report::BENCH_VERSION);
-    assert_eq!(suite.entries.len(), 7, "5 workloads + obs_overhead on/off");
+    assert_eq!(suite.entries.len(), 8, "6 workloads + obs_overhead on/off");
     let on = suite.entry("obs_overhead_on").unwrap();
     assert!(
         on.counters
@@ -92,6 +92,15 @@ fn gate_passes_against_fresh_baseline_and_fails_under_slowdown() {
             .counters
             .is_empty(),
         "probe workload records deterministic probe counters"
+    );
+    assert!(
+        suite
+            .entry("census_n500_single")
+            .unwrap()
+            .counters
+            .iter()
+            .any(|(c, v)| c == "push.prepare.words_swept" && *v > 0),
+        "large-N census records the target sweep's work counters"
     );
     let cache = suite.entry("dfa_probe_cache").unwrap();
     let counter = |name: &str| {

@@ -11,13 +11,16 @@
 //!
 //! Mirroring the three-processor engine, the operation is split into a
 //! mode-independent [`n_prepare`] (enclosing rectangle, cleaned line,
-//! per-owner target buckets) and a per-mode [`n_attempt`], both generic
+//! per-owner target counts, through the sweep shared with the
+//! three-processor kernel, `hetmmm_push::sweep`) and a per-mode
+//! [`n_attempt`] that extracts target buckets on demand, both generic
 //! over the [`NPushGrid`] accessor trait. Two grids implement it: the
 //! mutable [`NView`] that applies real pushes, and the read-only overlay
 //! behind [`push_feasible_n`] that answers feasibility without cloning.
 
 use crate::grid::NPartition;
 use hetmmm_push::geom::Axis;
+use hetmmm_push::sweep::{Prepared, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -73,36 +76,26 @@ impl PushMode {
     pub const ALL: [PushMode; 3] = [PushMode::Strict, PushMode::Budgeted, PushMode::Relaxed];
 }
 
-/// Canonical-coordinate grid accessors the generalized push kernel needs.
-/// Implemented by the mutable [`NView`] and by the probe's read-only
-/// overlay, so applying and probing share one legality implementation.
-/// Method names mirror the three-processor `PushGrid` trait.
-///
-/// `enclosing_rect` and `line_word` are only consulted by [`n_prepare`],
-/// before any swap; overlay implementations may answer them from their
-/// base grid.
-trait NPushGrid {
+/// Canonical-coordinate grid accessors the generalized push kernel needs,
+/// on top of the reads the target sweep shares with the three-processor
+/// kernel ([`SweepGrid`]). Implemented by the mutable [`NView`] and by the
+/// probe's read-only overlay, so applying and probing share one legality
+/// implementation. Method names mirror the three-processor `PushGrid`
+/// trait.
+trait NPushGrid: SweepGrid<u8> {
     /// Owner of canonical cell `(u, v)`.
     fn get(&self, u: usize, v: usize) -> u8;
     /// Swap two canonical cells.
     fn swap(&mut self, a: (usize, usize), b: (usize, usize));
-    /// Does canonical row `u` contain elements of `proc`?
-    fn row_has(&self, proc: u8, u: usize) -> bool;
     /// Does canonical column `v` contain elements of `proc`?
     fn col_has(&self, proc: u8, v: usize) -> bool;
-    /// Elements of `proc` in canonical column `v`.
-    fn col_count(&self, proc: u8, v: usize) -> u32;
-    /// Elements of `proc` in canonical row `u`.
-    fn row_count(&self, proc: u8, u: usize) -> u32;
     /// Enclosing rectangle `(top, bottom, left, right)` in canonical
-    /// coordinates.
+    /// coordinates. Consulted only by [`n_prepare`], before any swap of
+    /// the push, so overlay implementations may answer it from their base
+    /// grid.
     fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)>;
     /// VoC line units of the underlying grid.
     fn voc_units(&self) -> u64;
-    /// Word `w` of `proc`'s canonical-row-`u` bit-plane line (bit `b` =
-    /// canonical cell `(u, w * 64 + b)`), for the word sweeps in
-    /// [`n_prepare`].
-    fn line_word(&self, proc: u8, u: usize, w: usize) -> u64;
 }
 
 /// Canonical-coordinate accessors for a direction.
@@ -136,34 +129,10 @@ impl NPushGrid for NView<'_> {
     }
 
     #[inline]
-    fn row_has(&self, proc: u8, u: usize) -> bool {
-        match self.canon_row_line(u) {
-            (i, Axis::Row) => self.part.row_has(proc, i),
-            (j, Axis::Col) => self.part.col_has(proc, j),
-        }
-    }
-
-    #[inline]
     fn col_has(&self, proc: u8, v: usize) -> bool {
         match self.canon_col_line(v) {
             (j, Axis::Col) => self.part.col_has(proc, j),
             (i, Axis::Row) => self.part.row_has(proc, i),
-        }
-    }
-
-    #[inline]
-    fn col_count(&self, proc: u8, v: usize) -> u32 {
-        match self.canon_col_line(v) {
-            (j, Axis::Col) => self.part.col_count(proc, j),
-            (i, Axis::Row) => self.part.row_count(proc, i),
-        }
-    }
-
-    #[inline]
-    fn row_count(&self, proc: u8, u: usize) -> u32 {
-        match self.canon_row_line(u) {
-            (i, Axis::Row) => self.part.row_count(proc, i),
-            (j, Axis::Col) => self.part.col_count(proc, j),
         }
     }
 
@@ -176,7 +145,36 @@ impl NPushGrid for NView<'_> {
     fn voc_units(&self) -> u64 {
         self.part.voc_units()
     }
+}
 
+impl SweepGrid<u8> for NView<'_> {
+    #[inline]
+    fn row_has(&self, proc: u8, u: usize) -> bool {
+        match self.canon_row_line(u) {
+            (i, Axis::Row) => self.part.row_has(proc, i),
+            (j, Axis::Col) => self.part.col_has(proc, j),
+        }
+    }
+
+    #[inline]
+    fn row_count(&self, proc: u8, u: usize) -> u32 {
+        match self.canon_row_line(u) {
+            (i, Axis::Row) => self.part.row_count(proc, i),
+            (j, Axis::Col) => self.part.col_count(proc, j),
+        }
+    }
+
+    #[inline]
+    fn col_count(&self, proc: u8, v: usize) -> u32 {
+        match self.canon_col_line(v) {
+            (j, Axis::Col) => self.part.col_count(proc, j),
+            (i, Axis::Row) => self.part.row_count(proc, i),
+        }
+    }
+
+    /// Live plane words. Mid-attempt they differ from the pre-push grid
+    /// only in the cleaned row and at already-popped targets, which is
+    /// what [`SweepGrid::line_word`] allows.
     #[inline]
     fn line_word(&self, proc: u8, u: usize, w: usize) -> u64 {
         self.plane_line_word(proc, u, w)
@@ -203,31 +201,26 @@ pub struct NAppliedPush {
     pub touched_mask: u64,
 }
 
-/// Mode-independent preparation of a push attempt: the cleaned line and
-/// the per-owner candidate target lists (phase 1). Computed once and
-/// reused across the mode ladder by [`try_push_n`] and the probe.
-struct NPrepared {
-    /// Canonical index of the cleaned line.
-    kline: usize,
-    /// Canonical columns of the active processor's elements in that line.
-    cleaned: Vec<usize>,
-    /// Owner slot order: every processor except the active one.
-    owners: Vec<u8>,
-    /// Candidate interior targets per owner slot, best-first.
-    owner_targets: Vec<Vec<(usize, usize)>>,
+/// Phase 1 — locate the cleaned line and count the interior targets of
+/// every displaced owner (every processor except the active one,
+/// ascending), through the sweep shared with the three-processor kernel;
+/// [`n_attempt`] extracts targets on demand.
+fn n_prepare<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<Prepared<u8>> {
+    let rect = view.enclosing_rect(proc)?;
+    let owners = (0..k as u8).filter(|&p| p != proc).collect();
+    Prepared::new(view, proc, owners, rect)
 }
 
-/// Phase 1 — locate the cleaned line and bucket interior targets per
-/// displaced owner by active dirty cost and owner-line cleaning bonus.
-fn n_prepare<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<NPrepared> {
+/// The eager per-bit sweep, kept as the test oracle for [`n_prepare`]:
+/// classifies every interior owner cell into its bucket up front and
+/// returns a fully extracted [`Prepared`] with unsaturated counts.
+#[cfg(test)]
+fn n_prepare_reference<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<Prepared<u8>> {
     let (top, bottom, left, right) = view.enclosing_rect(proc)?;
     if bottom == top {
-        return None; // single-line rectangle: nowhere to go
+        return None;
     }
     let kline = top;
-
-    // Word range and per-word masks covering canonical columns
-    // [left, right] of the bit-planes.
     let w_lo = left / 64;
     let w_hi = right / 64;
     let lo_mask = !0u64 << (left % 64);
@@ -249,8 +242,6 @@ fn n_prepare<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<NPrepared> {
         }
         m
     };
-
-    // Active elements in the cleaned line, word-wise (ascending v).
     let mut cleaned: Vec<usize> = Vec::new();
     for w in w_lo..=w_hi {
         let mut bits = view.line_word(proc, kline, w) & rect_mask(w);
@@ -260,16 +251,7 @@ fn n_prepare<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<NPrepared> {
         }
     }
     let m = cleaned.len();
-    debug_assert!(m > 0);
-
-    // Owner slots: every processor except the active one, ascending.
     let owners: Vec<u8> = (0..k as u8).filter(|&p| p != proc).collect();
-
-    // Per-column facts are invariant during prepare, so compute them once
-    // per rectangle width as bitmasks over the rect words: `col_ok[w]`
-    // bit b — the active side already owns column `w*64+b` outside the
-    // cleaned line; `col_cleans[slot][w]` bit b — removing the owner's
-    // element would empty that owner's column.
     let wn = w_hi - w_lo + 1;
     let mut col_ok = vec![0u64; wn];
     let mut col_cleans = vec![vec![0u64; wn]; owners.len()];
@@ -294,11 +276,6 @@ fn n_prepare<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<NPrepared> {
             }
         }
     }
-
-    // Sweep each owner's bit-plane words over the rectangle interior.
-    // Per owner the candidates still arrive in (g, h) lexicographic order
-    // — the order the per-cell scan produced — so every bucket's contents
-    // and cap truncation are unchanged.
     let cap = m + 64;
     let mut buckets: Vec<[Vec<(usize, usize)>; 6]> =
         (0..owners.len()).map(|_| Default::default()).collect();
@@ -322,16 +299,8 @@ fn n_prepare<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<NPrepared> {
             }
         }
     }
-    let owner_targets: Vec<Vec<(usize, usize)>> = buckets
-        .into_iter()
-        .map(|b| b.into_iter().flatten().collect())
-        .collect();
-    Some(NPrepared {
-        kline,
-        cleaned,
-        owners,
-        owner_targets,
-    })
+    let lists = buckets.iter().map(|b| b.concat()).collect();
+    Some(Prepared::from_lists(kline, cleaned, owners, lists))
 }
 
 /// Outcome of a successful [`n_attempt`].
@@ -347,13 +316,12 @@ fn n_attempt<G: NPushGrid>(
     view: &mut G,
     proc: u8,
     mode: PushMode,
-    prep: &NPrepared,
+    prep: &mut Prepared<u8>,
     voc_before: i64,
 ) -> Option<NAttemptOutcome> {
-    let kline = prep.kline;
-    let cleaned = &prep.cleaned;
-    let owners = &prep.owners;
-    let owner_targets = &prep.owner_targets;
+    let kline = prep.k();
+    let cleaned = prep.cleaned();
+    let owners = prep.owners();
     let m = cleaned.len();
 
     // Phase 2: assign an owner to each vacated position. A position is
@@ -362,7 +330,7 @@ fn n_attempt<G: NPushGrid>(
     let row_k_has: Vec<bool> = owners.iter().map(|&o| view.row_has(o, kline)).collect();
     let displaced_strict = !matches!(mode, PushMode::Relaxed);
     let mut demand = vec![0usize; owners.len()];
-    let avail: Vec<usize> = owner_targets.iter().map(Vec::len).collect();
+    let avail: Vec<usize> = (0..owners.len()).map(|s| prep.avail(s)).collect();
     let mut assignment: Vec<usize> = Vec::with_capacity(m);
     let mut flexible: Vec<usize> = Vec::new();
     for (idx, &v) in cleaned.iter().enumerate() {
@@ -410,10 +378,10 @@ fn n_attempt<G: NPushGrid>(
     let mut next = vec![0usize; owners.len()];
     let mut touched_mask = 0u64;
     let mut ok = true;
-    'elems: for (idx, &v) in cleaned.iter().enumerate() {
-        let slot = assignment[idx];
+    'elems: for (idx, &slot) in assignment.iter().enumerate() {
+        let v = prep.cleaned()[idx];
         loop {
-            let Some(&(g, h)) = owner_targets[slot].get(next[slot]) else {
+            let Some((g, h)) = prep.target(&*view, slot, next[slot]) else {
                 ok = false;
                 break 'elems;
             };
@@ -438,7 +406,7 @@ fn n_attempt<G: NPushGrid>(
             }
             view.swap((kline, v), (g, h));
             journal.push(((kline, v), (g, h)));
-            touched_mask |= 1u64 << owners[slot];
+            touched_mask |= 1u64 << prep.owners()[slot];
             dirty_used += cost;
             break;
         }
@@ -472,9 +440,9 @@ pub fn try_push_n(part: &mut NPartition, proc: u8, dir: NDirection) -> Option<NA
     let k = part.k();
     let voc_before = part.voc_units() as i64;
     let mut view = NView::new(part, dir);
-    let prep = n_prepare(&view, proc, k)?;
+    let mut prep = n_prepare(&view, proc, k)?;
     PushMode::ALL.iter().find_map(|&mode| {
-        n_attempt(&mut view, proc, mode, &prep, voc_before).map(|out| NAppliedPush {
+        n_attempt(&mut view, proc, mode, &mut prep, voc_before).map(|out| NAppliedPush {
             proc,
             dir,
             mode,
@@ -495,8 +463,8 @@ pub fn try_push_mode(
     let k = part.k();
     let voc_before = part.voc_units() as i64;
     let mut view = NView::new(part, dir);
-    let prep = n_prepare(&view, proc, k)?;
-    n_attempt(&mut view, proc, mode, &prep, voc_before).map(|out| NAppliedPush {
+    let mut prep = n_prepare(&view, proc, k)?;
+    n_attempt(&mut view, proc, mode, &mut prep, voc_before).map(|out| NAppliedPush {
         proc,
         dir,
         mode,
@@ -648,33 +616,8 @@ impl NPushGrid for NProbeView<'_> {
     }
 
     #[inline]
-    fn row_has(&self, proc: u8, u: usize) -> bool {
-        NPushGrid::row_count(self, proc, u) > 0
-    }
-
-    #[inline]
     fn col_has(&self, proc: u8, v: usize) -> bool {
-        NPushGrid::col_count(self, proc, v) > 0
-    }
-
-    #[inline]
-    fn col_count(&self, proc: u8, v: usize) -> u32 {
-        let count = match self.canon_col_line(v) {
-            (j, Axis::Col) => self.col_count_real(proc, j),
-            (i, Axis::Row) => self.row_count_real(proc, i),
-        };
-        debug_assert!(count >= 0, "overlay drove a line count negative");
-        count as u32
-    }
-
-    #[inline]
-    fn row_count(&self, proc: u8, u: usize) -> u32 {
-        let count = match self.canon_row_line(u) {
-            (i, Axis::Row) => self.row_count_real(proc, i),
-            (j, Axis::Col) => self.col_count_real(proc, j),
-        };
-        debug_assert!(count >= 0, "overlay drove a line count negative");
-        count as u32
+        self.col_count(proc, v) > 0
     }
 
     /// Answered from the base grid: the kernel only consults the rectangle
@@ -691,9 +634,37 @@ impl NPushGrid for NProbeView<'_> {
         debug_assert!(units >= 0, "overlay drove voc_units negative");
         units as u64
     }
+}
 
-    /// Bit-plane line words from the *base* grid — valid under the same
-    /// pre-swap contract as [`NPushGrid::enclosing_rect`].
+impl SweepGrid<u8> for NProbeView<'_> {
+    #[inline]
+    fn row_has(&self, proc: u8, u: usize) -> bool {
+        self.row_count(proc, u) > 0
+    }
+
+    #[inline]
+    fn row_count(&self, proc: u8, u: usize) -> u32 {
+        let count = match self.canon_row_line(u) {
+            (i, Axis::Row) => self.row_count_real(proc, i),
+            (j, Axis::Col) => self.col_count_real(proc, j),
+        };
+        debug_assert!(count >= 0, "overlay drove a line count negative");
+        count as u32
+    }
+
+    #[inline]
+    fn col_count(&self, proc: u8, v: usize) -> u32 {
+        let count = match self.canon_col_line(v) {
+            (j, Axis::Col) => self.col_count_real(proc, j),
+            (i, Axis::Row) => self.row_count_real(proc, i),
+        };
+        debug_assert!(count >= 0, "overlay drove a line count negative");
+        count as u32
+    }
+
+    /// Bit-plane line words from the *base* grid: the pre-push grid
+    /// throughout a probe, as [`SweepGrid::line_word`] requires for
+    /// extraction mid-attempt.
     #[inline]
     fn line_word(&self, proc: u8, u: usize, w: usize) -> u64 {
         self.plane_line_word(proc, u, w)
@@ -715,12 +686,12 @@ fn push_feasible_n_with(
         dir,
         n: part.n(),
     };
-    let Some(prep) = n_prepare(&view, proc, k) else {
+    let Some(mut prep) = n_prepare(&view, proc, k) else {
         return false;
     };
     PushMode::ALL
         .iter()
-        .any(|&mode| n_attempt(&mut view, proc, mode, &prep, voc_before).is_some())
+        .any(|&mode| n_attempt(&mut view, proc, mode, &mut prep, voc_before).is_some())
 }
 
 thread_local! {
@@ -878,6 +849,163 @@ mod tests {
                 );
                 // And the probe agrees without needing the clone.
                 assert!(!push_feasible_n(&part, proc, dir));
+            }
+        }
+    }
+
+    /// [`try_push_n`] driven by the eager [`n_prepare_reference`].
+    fn try_push_n_reference(
+        part: &mut NPartition,
+        proc: u8,
+        dir: NDirection,
+    ) -> Option<NAppliedPush> {
+        let k = part.k();
+        let voc_before = part.voc_units() as i64;
+        let mut view = NView::new(part, dir);
+        let mut prep = n_prepare_reference(&view, proc, k)?;
+        PushMode::ALL.iter().find_map(|&mode| {
+            n_attempt(&mut view, proc, mode, &mut prep, voc_before).map(|out| NAppliedPush {
+                proc,
+                dir,
+                mode,
+                delta_voc_units: out.delta,
+                swaps: out.swaps,
+                touched_mask: out.touched_mask,
+            })
+        })
+    }
+
+    /// Every target of owner `slot`, extracting all remaining buckets.
+    fn force_all<G: SweepGrid<u8>>(
+        prep: &mut Prepared<u8>,
+        grid: &G,
+        slot: usize,
+    ) -> Vec<(usize, usize)> {
+        (0..)
+            .map_while(|idx| prep.target(grid, slot, idx))
+            .collect()
+    }
+
+    /// A random (`shape` 0) partition, or (`shape` 1) one rectangle per
+    /// processor `1..k` on processor 0 plus `n / 2` random strays, so rows
+    /// and columns miss the active processor and owners thin out to one
+    /// element per line.
+    fn sample_npartition(n: usize, k: usize, shape: usize, rng: &mut StdRng) -> NPartition {
+        use rand::RngExt;
+        if shape == 0 {
+            let weights: Vec<u32> = (0..k).map(|i| 1 + 2 * (k - i) as u32).collect();
+            return NPartition::random(n, &weights, rng);
+        }
+        let mut part = NPartition::new(n, k);
+        for proc in 1..k as u8 {
+            let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+            let (c, d) = (rng.random_range(0..n), rng.random_range(0..n));
+            for i in a.min(b)..=a.max(b) {
+                for j in c.min(d)..=c.max(d) {
+                    part.set(i, j, proc);
+                }
+            }
+        }
+        for _ in 0..n / 2 {
+            let (i, j) = (rng.random_range(0..n), rng.random_range(0..n));
+            part.set(i, j, rng.random_range(0..k as u8));
+        }
+        part
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Along random push sequences, across word boundaries and
+        /// processor counts, the lazy sweep yields the eager sweep's
+        /// targets and counts, and pushes and probes decide exactly as
+        /// with the eager sweep.
+        #[test]
+        fn lazy_n_prepare_matches_eager_reference(
+            seed in 0u64..1_000_000,
+            n_idx in 0usize..6,
+            k in 3usize..=6,
+            shape in 0usize..2,
+        ) {
+            let n = [7, 63, 64, 65, 100, 129][n_idx];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut part = sample_npartition(n, k, shape, &mut rng);
+            for _round in 0..3 {
+                let mut moved = false;
+                for proc in 1..k as u8 {
+                    for dir in NDirection::ALL {
+                        {
+                            let view = NView::new(&mut part, dir);
+                            let lazy = n_prepare(&view, proc, k);
+                            let eager = n_prepare_reference(&view, proc, k);
+                            prop_assert_eq!(lazy.is_some(), eager.is_some());
+                            if let (Some(mut lazy), Some(mut eager)) = (lazy, eager) {
+                                prop_assert_eq!(lazy.k(), eager.k());
+                                prop_assert_eq!(lazy.cleaned(), eager.cleaned());
+                                prop_assert_eq!(lazy.owners(), eager.owners());
+                                let m = lazy.cleaned().len();
+                                for slot in 0..k - 1 {
+                                    let expected = force_all(&mut eager, &view, slot);
+                                    prop_assert_eq!(lazy.avail(slot), expected.len().min(m));
+                                    prop_assert_eq!(force_all(&mut lazy, &view, slot), expected);
+                                }
+                            }
+                        }
+                        let mut eager = part.clone();
+                        let expected = try_push_n_reference(&mut eager, proc, dir);
+                        prop_assert_eq!(push_feasible_n(&part, proc, dir), expected.is_some());
+                        let applied = try_push_n(&mut part, proc, dir);
+                        prop_assert_eq!(applied, expected);
+                        prop_assert!(part == eager, "partitions diverged");
+                        moved |= applied.is_some();
+                    }
+                }
+                if !moved {
+                    break;
+                }
+            }
+        }
+
+        /// Buckets extracted *after* swaps on a live `NView` hold the same
+        /// targets as the eager sweep of the pre-push grid.
+        #[test]
+        fn n_extraction_after_swaps_reads_pre_push_bits(
+            seed in 0u64..1_000_000,
+            n_idx in 0usize..6,
+            k in 3usize..=6,
+            shape in 0usize..2,
+        ) {
+            let n = [7, 63, 64, 65, 100, 129][n_idx];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let part = sample_npartition(n, k, shape, &mut rng);
+            for proc in 1..k as u8 {
+                for dir in NDirection::ALL {
+                    let mut scratch = part.clone();
+                    let mut view = NView::new(&mut scratch, dir);
+                    let (Some(mut lazy), Some(mut eager)) =
+                        (n_prepare(&view, proc, k), n_prepare_reference(&view, proc, k))
+                    else {
+                        continue;
+                    };
+                    let expected: Vec<_> =
+                        (0..k - 1).map(|slot| force_all(&mut eager, &view, slot)).collect();
+                    // Swap cleaned elements into the owners' first targets,
+                    // round-robin over owners, extracting buckets as the
+                    // cursors reach them.
+                    let kline = lazy.k();
+                    let cleaned = lazy.cleaned().to_vec();
+                    let mut next = vec![0usize; k - 1];
+                    for (idx, &v) in cleaned.iter().enumerate() {
+                        let slot = idx % (k - 1);
+                        if let Some((g, h)) = lazy.target(&view, slot, next[slot]) {
+                            next[slot] += 1;
+                            view.swap((kline, v), (g, h));
+                        }
+                    }
+                    for (slot, expected) in expected.iter().enumerate() {
+                        prop_assert_eq!(&force_all(&mut lazy, &view, slot), expected);
+                    }
+                }
             }
         }
     }

@@ -112,6 +112,12 @@ pub mod names {
     ///
     /// [`ProbeCache`]: https://docs.rs/hetmmm-push
     pub const PUSH_PROBE_CACHE_HITS: &str = "push.probe.cache_hits";
+    /// `u64` plane words a push's target sweep read: the count pass plus
+    /// every on-demand bucket extraction, both push kernels.
+    pub const PUSH_PREPARE_WORDS_SWEPT: &str = "push.prepare.words_swept";
+    /// Candidate targets the on-demand bucket extraction produced, both
+    /// push kernels.
+    pub const PUSH_PREPARE_TARGETS_EXTRACTED: &str = "push.prepare.targets_extracted";
 }
 
 /// A monotonically increasing counter.

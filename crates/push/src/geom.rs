@@ -60,8 +60,10 @@ pub enum Axis {
 /// - `canon_rect(t, b, l, r) -> (t, b, l, r)`: a real bounding box in
 ///   canonical coordinates,
 /// - `plane_line_word(proc, u, w)`: the bit-plane fast path, answered from
-///   the base grid (valid pre-swap, the same contract as `enclosing_rect`
-///   — `prepare` is the only consumer).
+///   the base grid. For a mutable view that is the live grid; for a
+///   read-only overlay it is the pre-push grid, ignoring overlay swaps.
+///   Both satisfy [`crate::sweep::SweepGrid::line_word`]'s contract, which
+///   only asks for pre-push bits at cells of buckets not yet extracted.
 #[macro_export]
 macro_rules! canonical_geometry {
     (dir: $dir_ty:path, proc: $proc_ty:ty, base: $base:ident) => {
@@ -126,7 +128,9 @@ macro_rules! canonical_geometry {
         /// Bit-plane fast path: word `w` of `proc`'s canonical-row-`u`
         /// plane line, straight from the base grid (fact 2 in
         /// `hetmmm_push::geom`: within-line bit order is direction-
-        /// independent). Pre-swap only, like `enclosing_rect`.
+        /// independent). Overlay swaps are not reflected; see
+        /// `hetmmm_push::sweep::SweepGrid::line_word` for why the push
+        /// kernel's mid-attempt reads are still exact.
         #[inline]
         fn plane_line_word(&self, proc: $proc_ty, u: usize, w: usize) -> u64 {
             match self.canon_row_line(u) {

@@ -24,6 +24,8 @@
 //! - [`probe`]: clone-free feasibility probes ([`probe::push_feasible`])
 //!   answered by the same kernel through a read-only overlay, plus the
 //!   hash-verified per-run verdict cache the DFA uses,
+//! - [`sweep`]: phase 1 of a push, shared with the k-processor kernel —
+//!   word-wise target counts and on-demand bucket extraction,
 //! - [`dfa`]: the randomized search engine (random `q0`, random direction
 //!   sets, random interleaving) with snapshot support (Fig. 7),
 //! - [`beautify`]: exhaustive condensation in *all* directions, used to
@@ -37,6 +39,7 @@ pub mod dfa;
 pub mod geom;
 pub mod op;
 pub mod probe;
+pub mod sweep;
 pub mod view;
 
 pub use beautify::{beautify, is_condensed};

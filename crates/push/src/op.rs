@@ -41,6 +41,7 @@
 //! this matches the paper's Types 3/4/6 which explicitly permit receiver
 //! dirtying within budget.
 
+use crate::sweep::{Prepared, SweepGrid};
 use crate::view::View;
 use hetmmm_partition::{Partition, Proc, Rect};
 use serde::{Deserialize, Serialize};
@@ -212,7 +213,9 @@ pub struct AppliedPush {
     pub touched: [bool; 3],
 }
 
-/// Canonical-coordinate grid accessors the push kernel needs.
+/// Canonical-coordinate grid accessors the push kernel needs, on top of
+/// the reads the target sweep shares with the k-processor kernel
+/// ([`SweepGrid`]).
 ///
 /// Two implementations share the kernel: the mutable [`View`] applies
 /// pushes to a real [`Partition`], and the read-only overlay
@@ -220,61 +223,46 @@ pub struct AppliedPush {
 /// mutating. One kernel deciding both is what makes
 /// [`crate::probe::push_feasible`] agree with [`try_push_any_type`] by
 /// construction — there is no second legality implementation to drift.
-///
-/// `enclosing_rect` is only ever consulted by [`prepare`], before any swap;
-/// overlay implementations may therefore answer it from their base grid.
-pub(crate) trait PushGrid {
+pub(crate) trait PushGrid: SweepGrid<Proc> {
     /// Owner of canonical cell `(u, v)`.
     fn get(&self, u: usize, v: usize) -> Proc;
     /// Swap two canonical cells.
     fn swap(&mut self, a: (usize, usize), b: (usize, usize));
-    /// Does canonical row `u` contain elements of `proc`?
-    fn row_has(&self, proc: Proc, u: usize) -> bool;
     /// Does canonical column `v` contain elements of `proc`?
     fn col_has(&self, proc: Proc, v: usize) -> bool;
-    /// Elements of `proc` in canonical row `u`.
-    fn row_count(&self, proc: Proc, u: usize) -> u32;
-    /// Elements of `proc` in canonical column `v`.
-    fn col_count(&self, proc: Proc, v: usize) -> u32;
-    /// Enclosing rectangle of `proc` in canonical coordinates.
+    /// Enclosing rectangle of `proc` in canonical coordinates. Consulted
+    /// only by [`prepare`], before any swap of the push, so overlay
+    /// implementations may answer it from their base grid.
     fn enclosing_rect(&self, proc: Proc) -> Option<Rect>;
     /// VoC line units of the underlying grid.
     fn voc_units(&self) -> u64;
-    /// Word `w` of `proc`'s canonical-row-`u` bit-plane line: bit `b` is
-    /// set iff canonical cell `(u, w * 64 + b)` belongs to `proc`. Like
-    /// `enclosing_rect`, only consulted by [`prepare`] before any swap, so
-    /// overlay implementations may answer from their base grid.
-    fn line_word(&self, proc: Proc, u: usize, w: usize) -> u64;
 }
 
-/// The type-independent part of a push attempt: the cleaned line and the
-/// per-owner candidate target lists (phase 1). None of it depends on the
-/// [`PushType`], so [`try_push_any_type`] and the feasibility probe compute
-/// it once and reuse it across all six type attempts.
-pub(crate) struct Prepared {
-    /// Canonical index of the cleaned line (`rect.top`).
-    k: usize,
-    /// Canonical columns of the active processor's elements in that line.
-    cleaned: Vec<usize>,
-    /// Candidate interior targets per displaced owner slot, best-first.
-    owner_targets: [Vec<(usize, usize)>; 2],
-}
-
-/// Phase 1 — locate the cleaned line and collect candidate interior
-/// targets per displaced owner. Returns `None` when no push of `proc` in
+/// Phase 1 — locate the cleaned line and count the candidate interior
+/// targets per displaced owner ([`Prepared::new`]; targets are extracted
+/// on demand by [`attempt`]). Returns `None` when no push of `proc` in
 /// this view's direction can exist at all (no elements, or a single-line
 /// enclosing rectangle that a push would be forced to enlarge).
-pub(crate) fn prepare<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared> {
+pub(crate) fn prepare<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared<Proc>> {
+    let rect = view.enclosing_rect(proc)?;
+    Prepared::new(
+        view,
+        proc,
+        proc.others().to_vec(),
+        (rect.top, rect.bottom, rect.left, rect.right),
+    )
+}
+
+/// The eager per-bit sweep, kept as the test oracle for [`prepare`]:
+/// classifies every interior owner cell into its bucket up front and
+/// returns a fully extracted [`Prepared`] with unsaturated counts.
+#[cfg(test)]
+pub(crate) fn prepare_reference<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared<Proc>> {
     let rect = view.enclosing_rect(proc)?;
     if rect.height() <= 1 {
-        // No interior lines to receive the cleaned elements: the push would
-        // have to enlarge the enclosing rectangle, which is forbidden.
         return None;
     }
     let k = rect.top;
-
-    // Word range and per-word masks covering canonical columns
-    // [rect.left, rect.right] of the bit-planes.
     let w_lo = rect.left / 64;
     let w_hi = rect.right / 64;
     let lo_mask = !0u64 << (rect.left % 64);
@@ -296,9 +284,6 @@ pub(crate) fn prepare<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared> {
         }
         m
     };
-
-    // Elements of the active processor in the cleaned line, extracted
-    // word-wise from its bit-plane (ascending v, as before).
     let mut cleaned: Vec<usize> = Vec::new();
     for w in w_lo..=w_hi {
         let mut bits = view.line_word(proc, k, w) & rect_mask(w);
@@ -307,19 +292,8 @@ pub(crate) fn prepare<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared> {
             bits &= bits - 1;
         }
     }
-    debug_assert!(
-        !cleaned.is_empty(),
-        "edge line of enclosing rect must contain proc"
-    );
     let m = cleaned.len();
     let [o1, o2] = proc.others();
-
-    // Per-column facts are invariant during prepare (the grid is in its
-    // pre-push state throughout), so compute them once per rectangle width
-    // as bitmasks over the rect words instead of once per interior cell:
-    // `col_ok[w]` bit b — the active side's "column w*64+b already has X
-    // outside the cleaned line" predicate; `col_cleans[slot][w]` bit b —
-    // removing the owner's element empties the owner's column.
     let wn = w_hi - w_lo + 1;
     let mut col_ok = vec![0u64; wn];
     let mut col_cleans = [vec![0u64; wn], vec![0u64; wn]];
@@ -345,22 +319,6 @@ pub(crate) fn prepare<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared> {
             }
         }
     }
-
-    // Collect candidate interior targets per displaced owner.
-    //
-    // The paper's `find` scans the enclosing-rectangle interior row-major
-    // from (k+1, left). We sweep each owner's bit-plane words over the same
-    // interior instead — per owner the candidates still arrive in (g, h)
-    // lexicographic order, so every bucket receives the exact sequence the
-    // per-cell scan produced and cap truncation is unchanged.
-    //
-    // Bucket candidates per owner by (active-side dirty cost, cleaning
-    // bonus): landing the cleaned element where the active processor
-    // already has presence costs nothing; targets whose removal cleans
-    // one of the *owner's* lines reduce VoC further. Bucket order is
-    // the paper's Type-1-first preference made operational. Each
-    // bucket is capped — the matcher never needs more than `m` targets
-    // per owner plus slack for budget skips — keeping the memory O(m).
     let cap = m + 64;
     let mut buckets: [[Vec<(usize, usize)>; 6]; 2] = Default::default();
     for g in (k + 1)..=rect.bottom {
@@ -383,17 +341,8 @@ pub(crate) fn prepare<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared> {
             }
         }
     }
-    let mut owner_targets: [Vec<(usize, usize)>; 2] = [Vec::new(), Vec::new()];
-    for slot in 0..2 {
-        for bucket in &buckets[slot] {
-            owner_targets[slot].extend(bucket.iter().copied());
-        }
-    }
-    Some(Prepared {
-        k,
-        cleaned,
-        owner_targets,
-    })
+    let lists = buckets.iter().map(|b| b.concat()).collect();
+    Some(Prepared::from_lists(k, cleaned, vec![o1, o2], lists))
 }
 
 /// Outcome of a successful [`attempt`].
@@ -413,12 +362,11 @@ pub(crate) fn attempt<G: PushGrid>(
     view: &mut G,
     proc: Proc,
     ty: PushType,
-    prep: &Prepared,
+    prep: &mut Prepared<Proc>,
     voc_before: i64,
 ) -> Option<AttemptOutcome> {
-    let k = prep.k;
-    let cleaned = &prep.cleaned;
-    let owner_targets = &prep.owner_targets;
+    let k = prep.k();
+    let cleaned = prep.cleaned();
     let active_side = ty.active_side();
     let displaced_strict = ty.displaced_strict();
     let m = cleaned.len();
@@ -443,7 +391,7 @@ pub(crate) fn attempt<G: PushGrid>(
     let mut assignment: Vec<usize> = Vec::with_capacity(m); // owner slot per cleaned position
     {
         let mut demand = [0usize; 2];
-        let avail = [owner_targets[0].len(), owner_targets[1].len()];
+        let avail = [prep.avail(0), prep.avail(1)];
         let mut flexible: Vec<usize> = Vec::new();
         for (idx, &v) in cleaned.iter().enumerate() {
             let f = [free_for(0, v), free_for(1, v)];
@@ -501,10 +449,10 @@ pub(crate) fn attempt<G: PushGrid>(
     let mut touched = [false; 3];
     let mut ok = true;
 
-    'elems: for (idx, &v) in cleaned.iter().enumerate() {
-        let slot = assignment[idx];
+    'elems: for (idx, &slot) in assignment.iter().enumerate() {
+        let v = prep.cleaned()[idx];
         loop {
-            let Some(&(g, h)) = owner_targets[slot].get(next_target[slot]) else {
+            let Some((g, h)) = prep.target(&*view, slot, next_target[slot]) else {
                 ok = false;
                 break 'elems;
             };
@@ -582,8 +530,8 @@ pub fn try_push(
     let _span = hetmmm_obs::fine_span_arg("push.apply", ty as u64 + 1);
     let voc_before = part.voc_units() as i64;
     let mut view = View::new(part, dir);
-    let prep = prepare(&view, proc)?;
-    attempt(&mut view, proc, ty, &prep, voc_before).map(|out| AppliedPush {
+    let mut prep = prepare(&view, proc)?;
+    attempt(&mut view, proc, ty, &mut prep, voc_before).map(|out| AppliedPush {
         proc,
         dir,
         ty,
@@ -615,11 +563,12 @@ pub fn try_push_any_type(part: &mut Partition, proc: Proc, dir: Direction) -> Op
     let voc_before = part.voc_units() as i64;
     let mut view = View::new(part, dir);
     // Phase 1 is type-independent (and failed attempts roll back exactly),
-    // so compute it once instead of once per type.
-    let prep = prepare(&view, proc)?;
+    // so compute it once instead of once per type; buckets extracted by
+    // one type's attempt serve the next.
+    let mut prep = prepare(&view, proc)?;
     PushType::ALL.iter().find_map(|&ty| {
         let _span = hetmmm_obs::fine_span_arg("push.apply", ty as u64 + 1);
-        attempt(&mut view, proc, ty, &prep, voc_before).map(|out| AppliedPush {
+        attempt(&mut view, proc, ty, &mut prep, voc_before).map(|out| AppliedPush {
             proc,
             dir,
             ty,
@@ -645,7 +594,192 @@ pub(crate) fn would_push_reference(part: &Partition, proc: Proc, dir: Direction)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmmm_partition::{PartitionBuilder, Rect};
+    use hetmmm_partition::{random_partition, PartitionBuilder, Ratio, Rect};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Two random rectangles (R, then S) on P plus `n / 2` random strays:
+    /// rows and columns that miss the active processor, and owners down to
+    /// one element per line, so every bucket is populated somewhere.
+    fn structured_partition(n: usize, rng: &mut StdRng) -> Partition {
+        use rand::RngExt;
+        let mut span = || {
+            let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+            (a.min(b), a.max(b))
+        };
+        let rects = [(span(), span(), Proc::R), (span(), span(), Proc::S)];
+        let strays: Vec<(usize, usize, Proc)> = (0..n / 2)
+            .map(|_| {
+                let cell = (rng.random_range(0..n), rng.random_range(0..n));
+                (cell.0, cell.1, Proc::ALL[rng.random_range(0..3usize)])
+            })
+            .collect();
+        Partition::from_fn(n, |i, j| {
+            if let Some(&(_, _, p)) = strays.iter().rev().find(|s| (s.0, s.1) == (i, j)) {
+                return p;
+            }
+            rects
+                .iter()
+                .find(|((r0, r1), (c0, c1), _)| {
+                    (*r0..=*r1).contains(&i) && (*c0..=*c1).contains(&j)
+                })
+                .map_or(Proc::P, |r| r.2)
+        })
+    }
+
+    /// A random (`shape` 0) or structured (`shape` 1) partition.
+    fn sample_partition(n: usize, shape: usize, ratio: Ratio, rng: &mut StdRng) -> Partition {
+        if shape == 0 {
+            random_partition(n, ratio, rng)
+        } else {
+            structured_partition(n, rng)
+        }
+    }
+
+    /// [`try_push_any_type`] driven by the eager [`prepare_reference`].
+    fn try_push_any_type_reference(
+        part: &mut Partition,
+        proc: Proc,
+        dir: Direction,
+    ) -> Option<AppliedPush> {
+        let voc_before = part.voc_units() as i64;
+        let mut view = View::new(part, dir);
+        let mut prep = prepare_reference(&view, proc)?;
+        PushType::ALL.iter().find_map(|&ty| {
+            attempt(&mut view, proc, ty, &mut prep, voc_before).map(|out| AppliedPush {
+                proc,
+                dir,
+                ty,
+                delta_voc_units: out.delta,
+                swaps: out.swaps,
+                touched: out.touched,
+            })
+        })
+    }
+
+    /// Every target of owner `slot`, extracting all remaining buckets.
+    fn force_all<G: SweepGrid<Proc>>(
+        prep: &mut Prepared<Proc>,
+        grid: &G,
+        slot: usize,
+    ) -> Vec<(usize, usize)> {
+        (0..)
+            .map_while(|idx| prep.target(grid, slot, idx))
+            .collect()
+    }
+
+    /// Lazy and eager phase 1 agree on `part` for `(proc, dir)`: same
+    /// cleaned line, saturated counts, and fully forced target lists.
+    fn assert_prepare_matches(part: &mut Partition, proc: Proc, dir: Direction) {
+        let view = View::new(part, dir);
+        let lazy = prepare(&view, proc);
+        let eager = prepare_reference(&view, proc);
+        assert_eq!(lazy.is_some(), eager.is_some(), "{proc} {dir}");
+        let (Some(mut lazy), Some(mut eager)) = (lazy, eager) else {
+            return;
+        };
+        assert_eq!(lazy.k(), eager.k());
+        assert_eq!(lazy.cleaned(), eager.cleaned());
+        assert_eq!(lazy.owners(), eager.owners());
+        let m = lazy.cleaned().len();
+        for slot in 0..2 {
+            let expected = force_all(&mut eager, &view, slot);
+            assert_eq!(
+                lazy.avail(slot),
+                expected.len().min(m),
+                "{proc} {dir} slot {slot}"
+            );
+            assert_eq!(
+                force_all(&mut lazy, &view, slot),
+                expected,
+                "{proc} {dir} slot {slot}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Along random push sequences, across word boundaries, the lazy
+        /// sweep yields the eager sweep's targets and counts, and pushes
+        /// and probes decide exactly as with the eager sweep.
+        #[test]
+        fn lazy_prepare_matches_eager_reference(
+            seed in 0u64..1_000_000,
+            n_idx in 0usize..6,
+            ratio_idx in 0usize..3,
+            shape in 0usize..2,
+        ) {
+            let n = [7, 63, 64, 65, 100, 129][n_idx];
+            let ratio = [Ratio::new(2, 1, 1), Ratio::new(5, 4, 1), Ratio::new(10, 1, 1)][ratio_idx];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut part = sample_partition(n, shape, ratio, &mut rng);
+            for _round in 0..3 {
+                let mut moved = false;
+                for proc in Proc::PUSHABLE {
+                    for dir in Direction::ALL {
+                        assert_prepare_matches(&mut part, proc, dir);
+                        let mut eager = part.clone();
+                        let expected = try_push_any_type_reference(&mut eager, proc, dir);
+                        prop_assert_eq!(
+                            crate::probe::push_feasible(&part, proc, dir),
+                            expected.is_some()
+                        );
+                        let applied = try_push_any_type(&mut part, proc, dir);
+                        prop_assert_eq!(applied, expected);
+                        prop_assert!(part == eager, "partitions diverged");
+                        moved |= applied.is_some();
+                    }
+                }
+                if !moved {
+                    break;
+                }
+            }
+        }
+
+        /// Buckets extracted *after* swaps on a live `View` hold the same
+        /// targets as the eager sweep of the pre-push grid: the swaps touch
+        /// only the cleaned row and already-popped targets.
+        #[test]
+        fn extraction_after_swaps_reads_pre_push_bits(
+            seed in 0u64..1_000_000,
+            n_idx in 0usize..6,
+            shape in 0usize..2,
+        ) {
+            let n = [7, 63, 64, 65, 100, 129][n_idx];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let part = sample_partition(n, shape, Ratio::new(3, 2, 1), &mut rng);
+            for proc in Proc::PUSHABLE {
+                for dir in Direction::ALL {
+                    let mut scratch = part.clone();
+                    let mut view = View::new(&mut scratch, dir);
+                    let (Some(mut lazy), Some(mut eager)) =
+                        (prepare(&view, proc), prepare_reference(&view, proc))
+                    else {
+                        continue;
+                    };
+                    let expected = [force_all(&mut eager, &view, 0), force_all(&mut eager, &view, 1)];
+                    // Swap cleaned elements into the owners' first targets,
+                    // alternating owners as an attempt may, extracting
+                    // buckets as the cursors reach them.
+                    let k = lazy.k();
+                    let cleaned = lazy.cleaned().to_vec();
+                    let mut next = [0usize; 2];
+                    for (idx, &v) in cleaned.iter().enumerate() {
+                        let slot = idx % 2;
+                        if let Some((g, h)) = lazy.target(&view, slot, next[slot]) {
+                            next[slot] += 1;
+                            view.swap((k, v), (g, h));
+                        }
+                    }
+                    for (slot, expected) in expected.iter().enumerate() {
+                        prop_assert_eq!(&force_all(&mut lazy, &view, slot), expected);
+                    }
+                }
+            }
+        }
+    }
 
     /// R occupies a full-width horizontal strip: pushing down must fail
     /// (every interior cell is already R / there is nowhere to go without

@@ -26,6 +26,7 @@
 
 use crate::geom::Axis;
 use crate::op::{attempt, prepare, Direction, PushGrid, PushType};
+use crate::sweep::SweepGrid;
 use hetmmm_obs as obs;
 use hetmmm_partition::{Partition, Proc, Rect};
 use std::cell::RefCell;
@@ -198,13 +199,32 @@ impl PushGrid for ProbeView<'_> {
     }
 
     #[inline]
-    fn row_has(&self, proc: Proc, u: usize) -> bool {
-        self.row_count(proc, u) > 0
+    fn col_has(&self, proc: Proc, v: usize) -> bool {
+        self.col_count(proc, v) > 0
+    }
+
+    /// Canonical enclosing rectangle, answered from the *base* grid. The
+    /// kernel only consults it in [`prepare`], before any overlay swap, so
+    /// base and overlay agree whenever this is called (leftover identity
+    /// entries from a rolled-back attempt have zero net occupancy effect).
+    fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
+        let r = self.base.enclosing_rect(proc)?;
+        let (top, bottom, left, right) = self.canon_rect(r.top, r.bottom, r.left, r.right);
+        Some(Rect::new(top, bottom, left, right))
     }
 
     #[inline]
-    fn col_has(&self, proc: Proc, v: usize) -> bool {
-        self.col_count(proc, v) > 0
+    fn voc_units(&self) -> u64 {
+        let units = self.base.voc_units() as i64 + self.scratch.voc_delta;
+        debug_assert!(units >= 0, "overlay drove voc_units negative");
+        units as u64
+    }
+}
+
+impl SweepGrid<Proc> for ProbeView<'_> {
+    #[inline]
+    fn row_has(&self, proc: Proc, u: usize) -> bool {
+        self.row_count(proc, u) > 0
     }
 
     #[inline]
@@ -227,25 +247,9 @@ impl PushGrid for ProbeView<'_> {
         count as u32
     }
 
-    /// Canonical enclosing rectangle, answered from the *base* grid. The
-    /// kernel only consults it in [`prepare`], before any overlay swap, so
-    /// base and overlay agree whenever this is called (leftover identity
-    /// entries from a rolled-back attempt have zero net occupancy effect).
-    fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
-        let r = self.base.enclosing_rect(proc)?;
-        let (top, bottom, left, right) = self.canon_rect(r.top, r.bottom, r.left, r.right);
-        Some(Rect::new(top, bottom, left, right))
-    }
-
-    #[inline]
-    fn voc_units(&self) -> u64 {
-        let units = self.base.voc_units() as i64 + self.scratch.voc_delta;
-        debug_assert!(units >= 0, "overlay drove voc_units negative");
-        units as u64
-    }
-
-    /// Bit-plane line words, answered from the *base* grid — valid under
-    /// the same pre-swap contract as [`PushGrid::enclosing_rect`].
+    /// Bit-plane line words, answered from the *base* grid: the pre-push
+    /// grid throughout a probe, as [`SweepGrid::line_word`] requires for
+    /// extraction mid-attempt.
     #[inline]
     fn line_word(&self, proc: Proc, u: usize, w: usize) -> u64 {
         self.plane_line_word(proc, u, w)
@@ -274,12 +278,12 @@ pub(crate) fn push_feasible_with(
         dir,
         n: part.n(),
     };
-    let Some(prep) = prepare(&view, proc) else {
+    let Some(mut prep) = prepare(&view, proc) else {
         return false;
     };
     PushType::ALL
         .iter()
-        .any(|&ty| attempt(&mut view, proc, ty, &prep, voc_before).is_some())
+        .any(|&ty| attempt(&mut view, proc, ty, &mut prep, voc_before).is_some())
 }
 
 thread_local! {

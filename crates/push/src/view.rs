@@ -13,7 +13,7 @@
 //! lines parallel to it, so the occupancy predicates of the six push types
 //! translate directly — and because within-line bit order is
 //! direction-independent, the partition's bit-plane words are served to the
-//! push kernel verbatim via [`crate::op::PushGrid::line_word`].
+//! push kernel verbatim via [`crate::sweep::SweepGrid::line_word`].
 
 use crate::geom::Axis;
 use crate::op::Direction;
@@ -112,7 +112,7 @@ impl<'a> View<'a> {
     }
 }
 
-/// The push kernel sees a mutable `View` through the same trait as the
+/// The push kernel sees a mutable `View` through the same traits as the
 /// read-only probe overlay — pure delegation to the inherent methods.
 impl crate::op::PushGrid for View<'_> {
     #[inline]
@@ -124,12 +124,22 @@ impl crate::op::PushGrid for View<'_> {
         View::swap(self, a, b)
     }
     #[inline]
-    fn row_has(&self, proc: Proc, u: usize) -> bool {
-        View::row_has(self, proc, u)
-    }
-    #[inline]
     fn col_has(&self, proc: Proc, v: usize) -> bool {
         View::col_has(self, proc, v)
+    }
+    fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
+        View::enclosing_rect(self, proc)
+    }
+    #[inline]
+    fn voc_units(&self) -> u64 {
+        View::voc_units(self)
+    }
+}
+
+impl crate::sweep::SweepGrid<Proc> for View<'_> {
+    #[inline]
+    fn row_has(&self, proc: Proc, u: usize) -> bool {
+        View::row_has(self, proc, u)
     }
     #[inline]
     fn row_count(&self, proc: Proc, u: usize) -> u32 {
@@ -139,13 +149,9 @@ impl crate::op::PushGrid for View<'_> {
     fn col_count(&self, proc: Proc, v: usize) -> u32 {
         View::col_count(self, proc, v)
     }
-    fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
-        View::enclosing_rect(self, proc)
-    }
-    #[inline]
-    fn voc_units(&self) -> u64 {
-        View::voc_units(self)
-    }
+    /// Live plane words. Mid-attempt they differ from the pre-push grid
+    /// only in the cleaned row and at already-popped targets, which is
+    /// what [`crate::sweep::SweepGrid::line_word`] allows.
     #[inline]
     fn line_word(&self, proc: Proc, u: usize, w: usize) -> u64 {
         self.plane_line_word(proc, u, w)
