@@ -22,7 +22,7 @@
 //! | speed ratio `P_r : R_r : S_r` | [`hetmmm_partition::Ratio`] |
 //! | asymptotic rectangularity (Fig. 3) | [`hetmmm_shapes::RegionKind::AsymptRect`] |
 //! | enclosing rectangles (Fig. 4) | [`hetmmm_partition::Partition::enclosing_rect`] |
-//! | Eq. 1 volume of communication | [`hetmmm_partition::Partition::voc`] |
+//! | Eq. 1 volume of communication | [`hetmmm_partition::NPartition::voc`] |
 //! | Push Types 1–6 (§IV-A) | [`hetmmm_push::PushType`], [`hetmmm_push::try_push`] |
 //! | Eq. 2–3 SCB model | [`hetmmm_cost::evaluate`] with [`hetmmm_cost::Algorithm::Scb`] |
 //! | Eq. 4–6 PCB model (`d_X`) | [`hetmmm_partition::ProcMetrics::send_elems`] + `Algorithm::Pcb` |

@@ -8,12 +8,14 @@
 //! Everything is generalized from the fixed three-processor machinery of
 //! the main crates to `k ≥ 2` processors:
 //!
-//! - [`grid::NPartition`]: the `q(i,j) ∈ {0..k-1}` grid with the same
-//!   incremental VoC / occupancy / Zobrist accounting,
-//! - [`push`]: the Push operation with `k − 1` possible displaced owners
+//! - [`NPartition`]: the `q(i,j) ∈ {0..k-1}` grid — the workspace's one
+//!   grid store, defined in `hetmmm-partition` (the three-processor
+//!   `Partition` is a `k = 3` facade over it) and re-exported here,
+//! - [`push`]: the Push rule table with `k − 1` possible displaced owners
 //!   (the three-processor select-and-match generalizes directly: bucket
 //!   interior targets per owner, assign owners to vacated positions,
-//!   commit under the exact ΔVoC contract),
+//!   commit under the exact ΔVoC contract), run on the three-processor
+//!   engine's views, target sweep and probe cache (`hetmmm-push`),
 //! - [`dfa`]: the randomized search with per-processor direction plans and
 //!   neutral-cycle detection,
 //! - [`stats`]: shape descriptors for the outcomes — per-processor
@@ -31,11 +33,10 @@
 #![warn(missing_docs)]
 
 pub mod dfa;
-pub mod grid;
 pub mod push;
 pub mod stats;
 
 pub use dfa::{NDfaConfig, NDfaOutcome, NDfaRunner};
-pub use grid::NPartition;
-pub use push::{push_feasible_n, try_push_n, NDirection, PushMode};
+pub use hetmmm_partition::NPartition;
+pub use push::{push_feasible_n, try_push_n, PushMode};
 pub use stats::{OutcomeStats, ProcShapeStats};

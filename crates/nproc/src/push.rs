@@ -10,54 +10,20 @@
 //! `Relaxed` on non-increase.
 //!
 //! Mirroring the three-processor engine, the operation is split into a
-//! mode-independent [`n_prepare`] (enclosing rectangle, cleaned line,
-//! per-owner target counts, through the sweep shared with the
-//! three-processor kernel, `hetmmm_push::sweep`) and a per-mode
-//! [`n_attempt`] that extracts target buckets on demand, both generic
-//! over the [`NPushGrid`] accessor trait. Two grids implement it: the
-//! mutable [`NView`] that applies real pushes, and the read-only overlay
-//! behind [`push_feasible_n`] that answers feasibility without cloning.
+//! mode-independent phase 1 (enclosing rectangle, cleaned line, per-owner
+//! target counts, through the sweep shared with the three-processor kernel,
+//! `hetmmm_push::sweep`) and a per-mode [`n_attempt`] that extracts target
+//! buckets on demand. Both run on the three-processor engine's view layer
+//! (`hetmmm_push::view`): the mutable `View` that applies real pushes, and
+//! the read-only `ProbeView` overlay behind [`push_feasible_n`] that
+//! answers feasibility without cloning. Only the rule table — the three
+//! modes below — is this crate's own.
 
-use crate::grid::NPartition;
-use hetmmm_push::geom::Axis;
-use hetmmm_push::sweep::{Prepared, SweepGrid};
+use hetmmm_partition::NPartition;
+use hetmmm_push::sweep::Prepared;
+use hetmmm_push::view::{with_probe_scratch, ProbeView, PushGrid, View};
+use hetmmm_push::Direction;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-
-/// Push direction (same semantics as the three-processor engine: Down
-/// cleans the top edge of the active processor's enclosing rectangle).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub enum NDirection {
-    /// Clean the top row, move down.
-    Down,
-    /// Clean the bottom row, move up.
-    Up,
-    /// Clean the rightmost column, move left.
-    Left,
-    /// Clean the leftmost column, move right.
-    Right,
-}
-
-impl NDirection {
-    /// All four directions.
-    pub const ALL: [NDirection; 4] = [
-        NDirection::Down,
-        NDirection::Up,
-        NDirection::Left,
-        NDirection::Right,
-    ];
-
-    /// Position in [`NDirection::ALL`]; used for dense per-(proc, dir)
-    /// tables such as the probe cache.
-    pub(crate) fn index(self) -> usize {
-        match self {
-            NDirection::Down => 0,
-            NDirection::Up => 1,
-            NDirection::Left => 2,
-            NDirection::Right => 3,
-        }
-    }
-}
 
 /// Legality ladder, from the paper's Type 1 (strictest) to Type 6.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -76,118 +42,13 @@ impl PushMode {
     pub const ALL: [PushMode; 3] = [PushMode::Strict, PushMode::Budgeted, PushMode::Relaxed];
 }
 
-/// Canonical-coordinate grid accessors the generalized push kernel needs,
-/// on top of the reads the target sweep shares with the three-processor
-/// kernel ([`SweepGrid`]). Implemented by the mutable [`NView`] and by the
-/// probe's read-only overlay, so applying and probing share one legality
-/// implementation. Method names mirror the three-processor `PushGrid`
-/// trait.
-trait NPushGrid: SweepGrid<u8> {
-    /// Owner of canonical cell `(u, v)`.
-    fn get(&self, u: usize, v: usize) -> u8;
-    /// Swap two canonical cells.
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize));
-    /// Does canonical column `v` contain elements of `proc`?
-    fn col_has(&self, proc: u8, v: usize) -> bool;
-    /// Enclosing rectangle `(top, bottom, left, right)` in canonical
-    /// coordinates. Consulted only by [`n_prepare`], before any swap of
-    /// the push, so overlay implementations may answer it from their base
-    /// grid.
-    fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)>;
-    /// VoC line units of the underlying grid.
-    fn voc_units(&self) -> u64;
-}
-
-/// Canonical-coordinate accessors for a direction.
-struct NView<'a> {
-    part: &'a mut NPartition,
-    dir: NDirection,
-    n: usize,
-}
-
-impl<'a> NView<'a> {
-    hetmmm_push::canonical_geometry!(dir: crate::push::NDirection, proc: u8, base: part);
-
-    fn new(part: &'a mut NPartition, dir: NDirection) -> NView<'a> {
-        let n = part.n();
-        NView { part, dir, n }
-    }
-}
-
-impl NPushGrid for NView<'_> {
-    #[inline]
-    fn get(&self, u: usize, v: usize) -> u8 {
-        let (i, j) = self.map(u, v);
-        self.part.get(i, j)
-    }
-
-    #[inline]
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
-        let ra = self.map(a.0, a.1);
-        let rb = self.map(b.0, b.1);
-        self.part.swap(ra, rb);
-    }
-
-    #[inline]
-    fn col_has(&self, proc: u8, v: usize) -> bool {
-        match self.canon_col_line(v) {
-            (j, Axis::Col) => self.part.col_has(proc, j),
-            (i, Axis::Row) => self.part.row_has(proc, i),
-        }
-    }
-
-    fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)> {
-        let r = self.part.enclosing_rect(proc)?;
-        Some(self.canon_rect(r.top, r.bottom, r.left, r.right))
-    }
-
-    #[inline]
-    fn voc_units(&self) -> u64 {
-        self.part.voc_units()
-    }
-}
-
-impl SweepGrid<u8> for NView<'_> {
-    #[inline]
-    fn row_has(&self, proc: u8, u: usize) -> bool {
-        match self.canon_row_line(u) {
-            (i, Axis::Row) => self.part.row_has(proc, i),
-            (j, Axis::Col) => self.part.col_has(proc, j),
-        }
-    }
-
-    #[inline]
-    fn row_count(&self, proc: u8, u: usize) -> u32 {
-        match self.canon_row_line(u) {
-            (i, Axis::Row) => self.part.row_count(proc, i),
-            (j, Axis::Col) => self.part.col_count(proc, j),
-        }
-    }
-
-    #[inline]
-    fn col_count(&self, proc: u8, v: usize) -> u32 {
-        match self.canon_col_line(v) {
-            (j, Axis::Col) => self.part.col_count(proc, j),
-            (i, Axis::Row) => self.part.row_count(proc, i),
-        }
-    }
-
-    /// Live plane words. Mid-attempt they differ from the pre-push grid
-    /// only in the cleaned row and at already-popped targets, which is
-    /// what [`SweepGrid::line_word`] allows.
-    #[inline]
-    fn line_word(&self, proc: u8, u: usize, w: usize) -> u64 {
-        self.plane_line_word(proc, u, w)
-    }
-}
-
 /// Result of an applied generalized push.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NAppliedPush {
     /// The active processor.
     pub proc: u8,
     /// Direction.
-    pub dir: NDirection,
+    pub dir: Direction,
     /// Mode under which it was legal.
     pub mode: PushMode,
     /// Exact ΔVoC in line units.
@@ -205,102 +66,9 @@ pub struct NAppliedPush {
 /// every displaced owner (every processor except the active one,
 /// ascending), through the sweep shared with the three-processor kernel;
 /// [`n_attempt`] extracts targets on demand.
-fn n_prepare<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<Prepared<u8>> {
-    let rect = view.enclosing_rect(proc)?;
+fn n_prepare<G: PushGrid<u8>>(view: &G, proc: u8, k: usize) -> Option<Prepared<u8>> {
     let owners = (0..k as u8).filter(|&p| p != proc).collect();
-    Prepared::new(view, proc, owners, rect)
-}
-
-/// The eager per-bit sweep, kept as the test oracle for [`n_prepare`]:
-/// classifies every interior owner cell into its bucket up front and
-/// returns a fully extracted [`Prepared`] with unsaturated counts.
-#[cfg(test)]
-fn n_prepare_reference<G: NPushGrid>(view: &G, proc: u8, k: usize) -> Option<Prepared<u8>> {
-    let (top, bottom, left, right) = view.enclosing_rect(proc)?;
-    if bottom == top {
-        return None;
-    }
-    let kline = top;
-    let w_lo = left / 64;
-    let w_hi = right / 64;
-    let lo_mask = !0u64 << (left % 64);
-    let hi_mask = {
-        let r = right % 64;
-        if r == 63 {
-            !0u64
-        } else {
-            (1u64 << (r + 1)) - 1
-        }
-    };
-    let rect_mask = |w: usize| -> u64 {
-        let mut m = !0u64;
-        if w == w_lo {
-            m &= lo_mask;
-        }
-        if w == w_hi {
-            m &= hi_mask;
-        }
-        m
-    };
-    let mut cleaned: Vec<usize> = Vec::new();
-    for w in w_lo..=w_hi {
-        let mut bits = view.line_word(proc, kline, w) & rect_mask(w);
-        while bits != 0 {
-            cleaned.push(w * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-    let m = cleaned.len();
-    let owners: Vec<u8> = (0..k as u8).filter(|&p| p != proc).collect();
-    let wn = w_hi - w_lo + 1;
-    let mut col_ok = vec![0u64; wn];
-    let mut col_cleans = vec![vec![0u64; wn]; owners.len()];
-    for w in w_lo..=w_hi {
-        let row_k = view.line_word(proc, kline, w);
-        let mut bits = rect_mask(w);
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let h = w * 64 + b;
-            let mut cnt = view.col_count(proc, h);
-            if (row_k >> b) & 1 == 1 {
-                cnt -= 1;
-            }
-            if cnt > 0 {
-                col_ok[w - w_lo] |= 1u64 << b;
-            }
-            for (slot, &owner) in owners.iter().enumerate() {
-                if view.col_count(owner, h) == 1 {
-                    col_cleans[slot][w - w_lo] |= 1u64 << b;
-                }
-            }
-        }
-    }
-    let cap = m + 64;
-    let mut buckets: Vec<[Vec<(usize, usize)>; 6]> =
-        (0..owners.len()).map(|_| Default::default()).collect();
-    for g in (kline + 1)..=bottom {
-        let row_dirty = usize::from(!view.row_has(proc, g));
-        for (slot, &owner) in owners.iter().enumerate() {
-            let row_cleans = view.row_count(owner, g) == 1;
-            for w in w_lo..=w_hi {
-                let mut bits = view.line_word(owner, g, w) & rect_mask(w);
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let cost = row_dirty + usize::from((col_ok[w - w_lo] >> b) & 1 == 0);
-                    let cleans = row_cleans || (col_cleans[slot][w - w_lo] >> b) & 1 == 1;
-                    let bucket = cost * 2 + usize::from(!cleans);
-                    let vec = &mut buckets[slot][bucket];
-                    if vec.len() < cap {
-                        vec.push((g, w * 64 + b));
-                    }
-                }
-            }
-        }
-    }
-    let lists = buckets.iter().map(|b| b.concat()).collect();
-    Some(Prepared::from_lists(kline, cleaned, owners, lists))
+    Prepared::new(view, proc, owners, view.enclosing_rect(proc)?)
 }
 
 /// Outcome of a successful [`n_attempt`].
@@ -312,7 +80,7 @@ struct NAttemptOutcome {
 
 /// Phases 2 and 3 under one mode — owner assignment, greedy pairing,
 /// swaps, and the ΔVoC contract. Rolls back completely on failure.
-fn n_attempt<G: NPushGrid>(
+fn n_attempt<G: PushGrid<u8>>(
     view: &mut G,
     proc: u8,
     mode: PushMode,
@@ -436,10 +204,10 @@ fn n_attempt<G: NPushGrid>(
 /// Commits the first legal one; otherwise leaves the partition untouched.
 /// Phase 1 is mode-independent (and failed attempts roll back exactly),
 /// so it is computed once and shared across the ladder.
-pub fn try_push_n(part: &mut NPartition, proc: u8, dir: NDirection) -> Option<NAppliedPush> {
+pub fn try_push_n(part: &mut NPartition, proc: u8, dir: Direction) -> Option<NAppliedPush> {
     let k = part.k();
     let voc_before = part.voc_units() as i64;
-    let mut view = NView::new(part, dir);
+    let mut view = View::new(part, dir);
     let mut prep = n_prepare(&view, proc, k)?;
     PushMode::ALL.iter().find_map(|&mode| {
         n_attempt(&mut view, proc, mode, &mut prep, voc_before).map(|out| NAppliedPush {
@@ -457,12 +225,12 @@ pub fn try_push_n(part: &mut NPartition, proc: u8, dir: NDirection) -> Option<NA
 pub fn try_push_mode(
     part: &mut NPartition,
     proc: u8,
-    dir: NDirection,
+    dir: Direction,
     mode: PushMode,
 ) -> Option<NAppliedPush> {
     let k = part.k();
     let voc_before = part.voc_units() as i64;
-    let mut view = NView::new(part, dir);
+    let mut view = View::new(part, dir);
     let mut prep = n_prepare(&view, proc, k)?;
     n_attempt(&mut view, proc, mode, &mut prep, voc_before).map(|out| NAppliedPush {
         proc,
@@ -474,302 +242,28 @@ pub fn try_push_mode(
     })
 }
 
-/// Reusable overlay storage for the clone-free feasibility probe; the
-/// k-processor analogue of the three-processor `ProbeScratch`. All maps
-/// are sparse — O(cleaned-line) entries keyed by the lines a probe
-/// actually touches — so the scratch is independent of `(n, k)` and needs
-/// no sizing step.
-#[derive(Debug, Default)]
-struct NProbeScratch {
-    /// Overlay cell assignments as `(flat index, owner)`.
-    cells: Vec<(u32, u8)>,
-    /// Per-(proc, row) count deltas, keyed by the flat `proc * n + row`
-    /// index. Linear-scanned like `cells`.
-    row_delta: Vec<(u32, i32)>,
-    /// Per-(proc, col) count deltas, keyed by `proc * n + col`.
-    col_delta: Vec<(u32, i32)>,
-    /// Overlay ΔVoC in line units relative to the base.
-    voc_delta: i64,
-}
-
-impl NProbeScratch {
-    /// Empty the overlay without freeing its storage.
-    fn reset(&mut self) {
-        self.cells.clear();
-        self.row_delta.clear();
-        self.col_delta.clear();
-        self.voc_delta = 0;
-    }
-}
-
-/// Read-only overlay view for probing: base partition plus scratch deltas,
-/// with the same canonical mapping as [`NView`].
-struct NProbeView<'a> {
-    base: &'a NPartition,
-    scratch: &'a mut NProbeScratch,
-    dir: NDirection,
-    n: usize,
-}
-
-impl NProbeView<'_> {
-    hetmmm_push::canonical_geometry!(dir: crate::push::NDirection, proc: u8, base: base);
-
-    #[inline]
-    fn get_real(&self, i: usize, j: usize) -> u8 {
-        let idx = (i * self.n + j) as u32;
-        for &(c, p) in &self.scratch.cells {
-            if c == idx {
-                return p;
-            }
-        }
-        self.base.get(i, j)
-    }
-
-    #[inline]
-    fn row_count_real(&self, proc: u8, i: usize) -> i64 {
-        let idx = (proc as usize * self.n + i) as u32;
-        let delta = self
-            .scratch
-            .row_delta
-            .iter()
-            .find(|(r, _)| *r == idx)
-            .map_or(0, |&(_, d)| d);
-        i64::from(self.base.row_count(proc, i)) + i64::from(delta)
-    }
-
-    #[inline]
-    fn col_count_real(&self, proc: u8, j: usize) -> i64 {
-        let idx = (proc as usize * self.n + j) as u32;
-        let delta = self
-            .scratch
-            .col_delta
-            .iter()
-            .find(|(c, _)| *c == idx)
-            .map_or(0, |&(_, d)| d);
-        i64::from(self.base.col_count(proc, j)) + i64::from(delta)
-    }
-
-    fn bump_row(&mut self, proc: u8, i: usize, by: i32) {
-        let idx = (proc as usize * self.n + i) as u32;
-        match self.scratch.row_delta.iter_mut().find(|(r, _)| *r == idx) {
-            Some((_, d)) => *d += by,
-            None => self.scratch.row_delta.push((idx, by)),
-        }
-    }
-
-    fn bump_col(&mut self, proc: u8, j: usize, by: i32) {
-        let idx = (proc as usize * self.n + j) as u32;
-        match self.scratch.col_delta.iter_mut().find(|(c, _)| *c == idx) {
-            Some((_, d)) => *d += by,
-            None => self.scratch.col_delta.push((idx, by)),
-        }
-    }
-
-    /// Overlay mirror of `NPartition::set`: same count-before-transition
-    /// ΔVoC rules, applied to the scratch deltas.
-    fn set_real(&mut self, i: usize, j: usize, proc: u8) {
-        let old = self.get_real(i, j);
-        if old == proc {
-            return;
-        }
-        let idx = (i * self.n + j) as u32;
-        match self.scratch.cells.iter_mut().find(|(c, _)| *c == idx) {
-            Some(entry) => entry.1 = proc,
-            None => self.scratch.cells.push((idx, proc)),
-        }
-        if self.row_count_real(old, i) == 1 {
-            self.scratch.voc_delta -= 1;
-        }
-        self.bump_row(old, i, -1);
-        if self.row_count_real(proc, i) == 0 {
-            self.scratch.voc_delta += 1;
-        }
-        self.bump_row(proc, i, 1);
-        if self.col_count_real(old, j) == 1 {
-            self.scratch.voc_delta -= 1;
-        }
-        self.bump_col(old, j, -1);
-        if self.col_count_real(proc, j) == 0 {
-            self.scratch.voc_delta += 1;
-        }
-        self.bump_col(proc, j, 1);
-    }
-}
-
-impl NPushGrid for NProbeView<'_> {
-    #[inline]
-    fn get(&self, u: usize, v: usize) -> u8 {
-        let (i, j) = self.map(u, v);
-        self.get_real(i, j)
-    }
-
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
-        let ra = self.map(a.0, a.1);
-        let rb = self.map(b.0, b.1);
-        let pa = self.get_real(ra.0, ra.1);
-        let pb = self.get_real(rb.0, rb.1);
-        if pa == pb {
-            return;
-        }
-        self.set_real(ra.0, ra.1, pb);
-        self.set_real(rb.0, rb.1, pa);
-    }
-
-    #[inline]
-    fn col_has(&self, proc: u8, v: usize) -> bool {
-        self.col_count(proc, v) > 0
-    }
-
-    /// Answered from the base grid: the kernel only consults the rectangle
-    /// in [`n_prepare`], before any overlay swap (rolled-back attempts
-    /// leave only zero-net-effect identity entries).
-    fn enclosing_rect(&self, proc: u8) -> Option<(usize, usize, usize, usize)> {
-        let r = self.base.enclosing_rect(proc)?;
-        Some(self.canon_rect(r.top, r.bottom, r.left, r.right))
-    }
-
-    #[inline]
-    fn voc_units(&self) -> u64 {
-        let units = self.base.voc_units() as i64 + self.scratch.voc_delta;
-        debug_assert!(units >= 0, "overlay drove voc_units negative");
-        units as u64
-    }
-}
-
-impl SweepGrid<u8> for NProbeView<'_> {
-    #[inline]
-    fn row_has(&self, proc: u8, u: usize) -> bool {
-        self.row_count(proc, u) > 0
-    }
-
-    #[inline]
-    fn row_count(&self, proc: u8, u: usize) -> u32 {
-        let count = match self.canon_row_line(u) {
-            (i, Axis::Row) => self.row_count_real(proc, i),
-            (j, Axis::Col) => self.col_count_real(proc, j),
-        };
-        debug_assert!(count >= 0, "overlay drove a line count negative");
-        count as u32
-    }
-
-    #[inline]
-    fn col_count(&self, proc: u8, v: usize) -> u32 {
-        let count = match self.canon_col_line(v) {
-            (j, Axis::Col) => self.col_count_real(proc, j),
-            (i, Axis::Row) => self.row_count_real(proc, i),
-        };
-        debug_assert!(count >= 0, "overlay drove a line count negative");
-        count as u32
-    }
-
-    /// Bit-plane line words from the *base* grid: the pre-push grid
-    /// throughout a probe, as [`SweepGrid::line_word`] requires for
-    /// extraction mid-attempt.
-    #[inline]
-    fn line_word(&self, proc: u8, u: usize, w: usize) -> u64 {
-        self.plane_line_word(proc, u, w)
-    }
-}
-
-fn push_feasible_n_with(
-    scratch: &mut NProbeScratch,
-    part: &NPartition,
-    proc: u8,
-    dir: NDirection,
-) -> bool {
-    let k = part.k();
-    scratch.reset();
-    let voc_before = part.voc_units() as i64;
-    let mut view = NProbeView {
-        base: part,
-        scratch,
-        dir,
-        n: part.n(),
-    };
-    let Some(mut prep) = n_prepare(&view, proc, k) else {
-        return false;
-    };
-    PushMode::ALL
-        .iter()
-        .any(|&mode| n_attempt(&mut view, proc, mode, &mut prep, voc_before).is_some())
-}
-
-thread_local! {
-    static N_SCRATCH: RefCell<NProbeScratch> = RefCell::new(NProbeScratch::default());
-}
-
 /// Non-mutating query: would a push of `proc` in `dir` be legal under any
-/// [`PushMode`]? Decided by the same kernel as [`try_push_n`] against a
-/// reusable overlay — no clone of the `O(N²)` grid, safe on a shared
-/// reference.
-pub fn push_feasible_n(part: &NPartition, proc: u8, dir: NDirection) -> bool {
-    N_SCRATCH.with(|scratch| push_feasible_n_with(&mut scratch.borrow_mut(), part, proc, dir))
-}
-
-/// Hash-verified probe-verdict cache for one k-processor search run: one
-/// slot per `(pushable proc, direction)`. As in the three-processor
-/// engine, a lookup hits only on an exact `state_hash` match (a push by
-/// one processor can flip another's verdict, so touched-based invalidation
-/// alone would be unsound); [`NProbeCache::evict_touched`] is hygiene.
-#[derive(Debug)]
-pub(crate) struct NProbeCache {
-    /// `(state hash, verdict)` per slot; slot = `(proc - 1) * 4 + dir`.
-    /// Processor 0 (the fastest) is never pushed and has no slots.
-    slots: Vec<Option<(u64, bool)>>,
-}
-
-impl NProbeCache {
-    /// A cache for a `k`-processor search.
-    pub(crate) fn new(k: usize) -> NProbeCache {
-        NProbeCache {
-            slots: vec![None; k.saturating_sub(1) * 4],
-        }
-    }
-
-    fn slot(proc: u8, dir: NDirection) -> usize {
-        debug_assert!(proc >= 1, "processor 0 is never pushed");
-        (proc as usize - 1) * 4 + dir.index()
-    }
-
-    /// Cached verdict for `(proc, dir)` at exactly `hash`, if any.
-    pub(crate) fn lookup(&self, hash: u64, proc: u8, dir: NDirection) -> Option<bool> {
-        let (h, verdict) = self.slots[Self::slot(proc, dir)]?;
-        (h == hash).then_some(verdict)
-    }
-
-    /// Record a verdict computed at `hash`.
-    pub(crate) fn record(&mut self, hash: u64, proc: u8, dir: NDirection, verdict: bool) {
-        self.slots[Self::slot(proc, dir)] = Some((hash, verdict));
-    }
-
-    /// Probe through the cache.
-    #[cfg(test)]
-    pub(crate) fn probe(&mut self, part: &NPartition, proc: u8, dir: NDirection) -> bool {
-        let hash = part.state_hash();
-        if let Some(verdict) = self.lookup(hash, proc, dir) {
-            return verdict;
-        }
-        let verdict = push_feasible_n(part, proc, dir);
-        self.record(hash, proc, dir, verdict);
-        verdict
-    }
-
-    /// Drop the slots of every processor in `touched_mask` (hygiene — the
-    /// hash check alone guarantees correctness).
-    pub(crate) fn evict_touched(&mut self, touched_mask: u64) {
-        for proc in 1..=(self.slots.len() / 4) as u8 {
-            if touched_mask & (1u64 << proc) != 0 {
-                for dir in NDirection::ALL {
-                    self.slots[Self::slot(proc, dir)] = None;
-                }
-            }
-        }
-    }
+/// [`PushMode`]? Decided by the same kernel as [`try_push_n`] against the
+/// shared read-only overlay — no clone of the `O(N²)` grid, safe on a
+/// shared reference.
+pub fn push_feasible_n(part: &NPartition, proc: u8, dir: Direction) -> bool {
+    with_probe_scratch(|scratch| {
+        let voc_before = part.voc_units() as i64;
+        let mut view = ProbeView::new(part, scratch, dir);
+        let Some(mut prep) = n_prepare(&view, proc, part.k()) else {
+            return false;
+        };
+        PushMode::ALL
+            .iter()
+            .any(|&mode| n_attempt(&mut view, proc, mode, &mut prep, voc_before).is_some())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetmmm_push::sweep::SweepGrid;
+    use hetmmm_push::ProbeCache;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -782,7 +276,7 @@ mod tests {
         for _ in 0..50 {
             let mut any = false;
             for proc in 1..4u8 {
-                for dir in NDirection::ALL {
+                for dir in Direction::ALL {
                     if let Some(ap) = try_push_n(&mut part, proc, dir) {
                         assert!(ap.delta_voc_units <= 0);
                         assert!(part.voc() <= voc);
@@ -804,7 +298,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let part = NPartition::random(16, &[8, 3, 2, 2, 1], &mut rng);
         for proc in 1..5u8 {
-            for dir in NDirection::ALL {
+            for dir in Direction::ALL {
                 for mode in PushMode::ALL {
                     let mut scratch = part.clone();
                     if try_push_mode(&mut scratch, proc, dir, mode).is_none() {
@@ -821,7 +315,7 @@ mod tests {
         let mut part = NPartition::random(20, &[5, 2, 2, 1], &mut rng);
         let before: Vec<usize> = (0..4).map(|p| part.elems(p as u8)).collect();
         for proc in 1..4u8 {
-            for dir in NDirection::ALL {
+            for dir in Direction::ALL {
                 let _ = try_push_n(&mut part, proc, dir);
             }
         }
@@ -841,7 +335,7 @@ mod tests {
             }
         }
         for proc in 1..4u8 {
-            for dir in NDirection::ALL {
+            for dir in Direction::ALL {
                 let mut scratch = part.clone();
                 assert!(
                     try_push_n(&mut scratch, proc, dir).is_none(),
@@ -853,15 +347,21 @@ mod tests {
         }
     }
 
+    /// [`n_prepare`] through the eager reference sweep.
+    fn n_prepare_reference<G: PushGrid<u8>>(view: &G, proc: u8, k: usize) -> Option<Prepared<u8>> {
+        let owners = (0..k as u8).filter(|&p| p != proc).collect();
+        Prepared::eager(view, proc, owners, view.enclosing_rect(proc)?)
+    }
+
     /// [`try_push_n`] driven by the eager [`n_prepare_reference`].
     fn try_push_n_reference(
         part: &mut NPartition,
         proc: u8,
-        dir: NDirection,
+        dir: Direction,
     ) -> Option<NAppliedPush> {
         let k = part.k();
         let voc_before = part.voc_units() as i64;
-        let mut view = NView::new(part, dir);
+        let mut view = View::new(part, dir);
         let mut prep = n_prepare_reference(&view, proc, k)?;
         PushMode::ALL.iter().find_map(|&mode| {
             n_attempt(&mut view, proc, mode, &mut prep, voc_before).map(|out| NAppliedPush {
@@ -933,9 +433,9 @@ mod tests {
             for _round in 0..3 {
                 let mut moved = false;
                 for proc in 1..k as u8 {
-                    for dir in NDirection::ALL {
+                    for dir in Direction::ALL {
                         {
-                            let view = NView::new(&mut part, dir);
+                            let view = View::new(&mut part, dir);
                             let lazy = n_prepare(&view, proc, k);
                             let eager = n_prepare_reference(&view, proc, k);
                             prop_assert_eq!(lazy.is_some(), eager.is_some());
@@ -966,7 +466,7 @@ mod tests {
             }
         }
 
-        /// Buckets extracted *after* swaps on a live `NView` hold the same
+        /// Buckets extracted *after* swaps on a live `View` hold the same
         /// targets as the eager sweep of the pre-push grid.
         #[test]
         fn n_extraction_after_swaps_reads_pre_push_bits(
@@ -979,9 +479,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let part = sample_npartition(n, k, shape, &mut rng);
             for proc in 1..k as u8 {
-                for dir in NDirection::ALL {
+                for dir in Direction::ALL {
                     let mut scratch = part.clone();
-                    let mut view = NView::new(&mut scratch, dir);
+                    let mut view = View::new(&mut scratch, dir);
                     let (Some(mut lazy), Some(mut eager)) =
                         (n_prepare(&view, proc, k), n_prepare_reference(&view, proc, k))
                     else {
@@ -999,7 +499,7 @@ mod tests {
                         let slot = idx % (k - 1);
                         if let Some((g, h)) = lazy.target(&view, slot, next[slot]) {
                             next[slot] += 1;
-                            view.swap((kline, v), (g, h));
+                            PushGrid::<u8>::swap(&mut view, (kline, v), (g, h));
                         }
                     }
                     for (slot, expected) in expected.iter().enumerate() {
@@ -1011,7 +511,7 @@ mod tests {
     }
 
     /// Clone-based oracle for the probe equivalence properties.
-    fn would_push_n_reference(part: &NPartition, proc: u8, dir: NDirection) -> bool {
+    fn would_push_n_reference(part: &NPartition, proc: u8, dir: Direction) -> bool {
         let mut scratch = part.clone();
         try_push_n(&mut scratch, proc, dir).is_some()
     }
@@ -1030,7 +530,7 @@ mod tests {
             for _round in 0..4 {
                 let mut moved = false;
                 for proc in 1..k as u8 {
-                    for dir in NDirection::ALL {
+                    for dir in Direction::ALL {
                         prop_assert_eq!(
                             push_feasible_n(&part, proc, dir),
                             would_push_n_reference(&part, proc, dir),
@@ -1051,19 +551,16 @@ mod tests {
     fn probe_cache_hits_on_exact_hash_and_evicts_touched() {
         let mut rng = StdRng::seed_from_u64(9);
         let part = NPartition::random(14, &[5, 3, 2, 1], &mut rng);
-        let mut cache = NProbeCache::new(4);
-        let verdict = cache.probe(&part, 1, NDirection::Down);
-        assert_eq!(
-            cache.lookup(part.state_hash(), 1, NDirection::Down),
-            Some(verdict)
-        );
-        assert_eq!(
-            cache.lookup(part.state_hash() ^ 1, 1, NDirection::Down),
-            None
-        );
-        cache.probe(&part, 2, NDirection::Up);
+        let hash = part.state_hash();
+        let mut cache = ProbeCache::new(4);
+        let verdict = push_feasible_n(&part, 1, Direction::Down);
+        cache.record(hash, 1u8, Direction::Down, verdict);
+        assert_eq!(cache.lookup(hash, 1u8, Direction::Down), Some(verdict));
+        assert_eq!(cache.lookup(hash ^ 1, 1u8, Direction::Down), None);
+        let verdict = push_feasible_n(&part, 2, Direction::Up);
+        cache.record(hash, 2u8, Direction::Up, verdict);
         cache.evict_touched(1 << 1); // proc 1 moved, proc 2 did not
-        assert_eq!(cache.lookup(part.state_hash(), 1, NDirection::Down), None);
-        assert!(cache.lookup(part.state_hash(), 2, NDirection::Up).is_some());
+        assert_eq!(cache.lookup(hash, 1u8, Direction::Down), None);
+        assert!(cache.lookup(hash, 2u8, Direction::Up).is_some());
     }
 }

@@ -102,7 +102,7 @@ pub mod names {
     /// (`rows_occupied` / `cols_occupied`).
     pub const GRID_POPCOUNT_WORDS: &str = "grid.popcount.words";
     /// Occupied-line mask words examined by the enclosing-rect boundary
-    /// shrink sweeps in `Partition::set` / `NPartition::set`.
+    /// shrink sweeps in the grid store's `NPartition::set`.
     pub const GRID_SHRINK_WORD_SCANS: &str = "grid.shrink.word_scans";
     /// Push-feasibility probes actually evaluated (cache misses included,
     /// cache hits not).

@@ -1,5 +1,4 @@
-//! Bit-plane primitives shared by the 3-processor [`crate::Partition`] and
-//! `hetmmm-nproc`'s `NPartition`.
+//! Bit-plane primitives of the grid store [`crate::NPartition`].
 //!
 //! A *plane line* is the `u64`-word mask of one row (or column) of one
 //! processor's bit-plane: bit `j % 64` of word `j / 64` is set iff the

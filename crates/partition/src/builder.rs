@@ -10,7 +10,7 @@
 //! free list once the acceptance rate drops, which draws from the identical
 //! distribution).
 
-use crate::grid::Partition;
+use crate::grid::{NPartition, Partition};
 use crate::proc_::{Proc, Ratio};
 use crate::rect::Rect;
 use hetmmm_error::HetmmmError;
@@ -115,6 +115,29 @@ pub fn random_partition<R: Rng>(n: usize, ratio: Ratio, rng: &mut R) -> Partitio
     debug_assert_eq!(part.elems(Proc::R), areas[Proc::R.idx()]);
     debug_assert_eq!(part.elems(Proc::S), areas[Proc::S.idx()]);
     part
+}
+
+impl NPartition {
+    /// Random start state for `weights.len()` processors: processor `p`'s
+    /// element count is proportional to `weights[p]` (rounded down;
+    /// processor 0 keeps the remainder), placed uniformly.
+    pub fn random<R: Rng>(n: usize, weights: &[u32], rng: &mut R) -> NPartition {
+        let mut part = NPartition::new(n, weights.len());
+        assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
+        let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
+        let mut cells: Vec<(usize, usize)> =
+            (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
+        cells.shuffle(rng);
+        let mut cursor = 0usize;
+        for (p, &w) in weights.iter().enumerate().skip(1) {
+            let quota = ((n * n) as u64 * u64::from(w) / total) as usize;
+            for &(i, j) in cells.iter().skip(cursor).take(quota) {
+                part.set(i, j, p as u8);
+            }
+            cursor += quota;
+        }
+        part
+    }
 }
 
 #[cfg(test)]

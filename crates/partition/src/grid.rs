@@ -1,91 +1,273 @@
-//! The partition grid: `q(i, j) -> {R, S, P}` with incremental accounting.
+//! The partition grid: `q(i, j) -> owner` with incremental accounting.
 //!
-//! [`Partition`] is the workhorse of the whole reproduction. The assignment
-//! itself is stored as per-processor **bit-planes** — one `u64` mask word
-//! per 64 columns per row (and a transposed copy per column) — so that:
+//! [`NPartition`] is the workspace's one grid store and the workhorse of the
+//! whole reproduction. It holds a partition of an `n x n` matrix among `k`
+//! processors, identified by `u8` **plane ids** `0..k`. The assignment is
+//! stored as per-processor **bit-planes** — one `u64` mask word per 64
+//! columns per row (and a transposed copy per column) — so that:
 //!
-//! - occupancy counts ([`Partition::rows_occupied`]) are `popcount` over a
+//! - occupancy counts ([`NPartition::rows_occupied`]) are `popcount` over a
 //!   single occupied-line mask,
 //! - enclosing-rectangle shrink scans are word-wise sweeps
 //!   (`trailing_zeros` / `leading_zeros` over the occupied-line masks)
 //!   instead of per-line count walks,
 //! - the Push engine can sweep a whole canonical line 64 cells at a time
-//!   via [`Partition::row_plane_word`] / [`Partition::col_plane_word`].
+//!   via [`NPartition::row_plane_word`] / [`NPartition::col_plane_word`].
 //!
 //! Besides the raw planes it maintains, under every mutation:
 //!
-//! - `row_count[X][i]` / `col_count[X][j]`: how many elements of processor
-//!   `X` live in row `i` / column `j`,
-//! - `row_procs[i]` / `col_procs[j]`: the paper's `c_i` / `c_j` — how many
-//!   *distinct* processors own elements in that line,
+//! - `count[p][u]`, per axis: how many elements of plane `p` live in row
+//!   (column) `u`,
+//! - `procs[u]`, per axis: the paper's `c_i` / `c_j` — how many *distinct*
+//!   processors own elements in that line,
 //! - `voc_units`: `Σ_i (c_i - 1) + Σ_j (c_j - 1)`, so that the paper's
 //!   Eq. 1 volume of communication is `N * voc_units`,
-//! - `elems[X]`: the element count `∈X` of each processor.
+//! - `elems[p]`: the element count `∈p` of each processor,
+//! - a Zobrist state hash and per-processor enclosing-rectangle bounds.
 //!
-//! All of these update in `O(1)` per [`Partition::set`] (the shrink sweep
+//! All of these update in `O(1)` per [`NPartition::set`] (the shrink sweep
 //! is amortized by the word width), which is what lets the Push engine
 //! evaluate the legality (ΔVoC) of a candidate push cheaply and roll it
 //! back if illegal.
 //!
+//! [`Partition`] is the three-processor facade: a `k = 3` store read and
+//! written through [`Proc`]-typed accessors, with plane id = [`Proc::q`].
+//! Because the Zobrist key schedule is `mix64(idx * k + plane)` and
+//! `R = 0`, `S = 1`, `P = 2`, a `Partition`'s state hash is exactly the
+//! hash of the paper's `q` encoding, whichever type reads it.
+//!
 //! ## Word layout
 //!
 //! For a plane line of `n` bits, `words_per_line = ceil(n / 64)`. Bit `v`
-//! of line `u` lives in word `u * words_per_line + v / 64` at bit position
-//! `v % 64` (LSB-first). The tail word of each line keeps its unused high
-//! bits at zero — [`Partition::set`] never touches them — so popcounts and
-//! word sweeps need no per-call tail masking.
+//! of line `u` of plane `p` lives in word `(p * n + u) * words_per_line +
+//! v / 64` at bit position `v % 64` (LSB-first). The tail word of each line
+//! keeps its unused high bits at zero — [`NPartition::set`] never touches
+//! them — so popcounts and word sweeps need no per-call tail masking.
 
 use crate::bits::{full_line, next_occupied, prev_occupied};
 use crate::proc_::Proc;
 use crate::rect::Rect;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
 
-/// A partition of an `n x n` matrix among processors `R`, `S`, `P`.
+/// A processor id the grid store can be read and written with: a `u8`
+/// plane id for `k` processors, or a [`Proc`] for the three-processor
+/// facade (plane id = [`Proc::q`]).
+pub trait PlaneId: Copy + Eq {
+    /// The store's plane id.
+    fn plane(self) -> u8;
+    /// The processor behind plane id `plane`.
+    fn from_plane(plane: u8) -> Self;
+}
+
+impl PlaneId for u8 {
+    #[inline]
+    fn plane(self) -> u8 {
+        self
+    }
+    #[inline]
+    fn from_plane(plane: u8) -> u8 {
+        plane
+    }
+}
+
+impl PlaneId for Proc {
+    #[inline]
+    fn plane(self) -> u8 {
+        self.q()
+    }
+    #[inline]
+    fn from_plane(plane: u8) -> Proc {
+        Proc::from_q(plane)
+    }
+}
+
+/// The per-axis half of the store: everything about rows (or, transposed,
+/// columns). Row `u` / element `v` of the row axis is cell `(u, v)`; of the
+/// column axis, cell `(v, u)`.
+#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+struct Lines {
+    /// Bit-planes, plane-major: bit `v % 64` of word
+    /// `(p * n + u) * words + v / 64` is set iff element `v` of line `u`
+    /// belongs to plane `p`.
+    bits: Vec<u64>,
+    /// Occupied-line mask per plane (`words` words each): bit `u` of plane
+    /// `p`'s mask is set iff `count[p * n + u] > 0`.
+    occ: Vec<u64>,
+    /// `count[p * n + u]`: elements of plane `p` in line `u`.
+    count: Vec<u32>,
+    /// Distinct planes per line: the paper's `c_i` (rows) or `c_j`
+    /// (columns).
+    procs: Vec<u8>,
+}
+
+impl Lines {
+    /// Every line wholly owned by `fill`.
+    fn filled(n: usize, k: usize, fill: usize) -> Lines {
+        let words = n.div_ceil(64);
+        let line = full_line(n);
+        let mut bits = vec![0u64; k * n * words];
+        for u in 0..n {
+            bits[(fill * n + u) * words..][..words].copy_from_slice(&line);
+        }
+        let mut occ = vec![0u64; k * words];
+        occ[fill * words..][..words].copy_from_slice(&line);
+        let mut count = vec![0u32; k * n];
+        count[fill * n..][..n].fill(n as u32);
+        Lines {
+            bits,
+            occ,
+            count,
+            procs: vec![1; n],
+        }
+    }
+
+    /// Move element `v` of line `u` from plane `old` to plane `new`,
+    /// keeping `voc_units` in step. The gaining plane's transition is
+    /// applied first, so `voc_units` never dips below its final value (at
+    /// `n = 1` the losing side alone would take it below zero). Returns
+    /// whether `old` left the line.
+    #[inline(always)]
+    fn transfer(
+        &mut self,
+        voc_units: &mut u64,
+        words: usize,
+        (u, v): (usize, usize),
+        (old, new): (PlaneAt, PlaneAt),
+    ) -> bool {
+        let (bit_word, bit) = (u * words + v / 64, 1u64 << (v % 64));
+        self.bits[old.bits + bit_word] &= !bit;
+        self.bits[new.bits + bit_word] |= bit;
+        let (occ_word, occ_bit) = (u / 64, 1u64 << (u % 64));
+        let gained = &mut self.count[new.count + u];
+        if *gained == 0 {
+            self.procs[u] += 1;
+            *voc_units += 1;
+            self.occ[new.occ + occ_word] |= occ_bit;
+        }
+        *gained += 1;
+        let lost = &mut self.count[old.count + u];
+        *lost -= 1;
+        let emptied = *lost == 0;
+        if emptied {
+            self.procs[u] -= 1;
+            *voc_units -= 1;
+            self.occ[old.occ + occ_word] &= !occ_bit;
+        }
+        emptied
+    }
+
+    /// Occupied-line mask of the plane at `at`.
+    #[inline]
+    fn occ_of(&self, at: PlaneAt, words: usize) -> &[u64] {
+        &self.occ[at.occ..at.occ + words]
+    }
+
+    /// Recompute this axis from the reference `owner(u, v)` and panic on
+    /// any drift: every plane bit (so each element is claimed by exactly
+    /// its owner's plane), tail bits of plane lines and occupancy masks,
+    /// counts, occupancy, and distinct-owner counts. Returns the axis's
+    /// share of `voc_units`.
+    #[allow(clippy::needless_range_loop)] // index math mirrors the derivation being checked
+    fn assert_matches(
+        &self,
+        axis: &str,
+        (n, k, words): (usize, usize, usize),
+        owner: impl Fn(usize, usize) -> usize,
+    ) -> u64 {
+        let mut count = vec![0u32; k * n];
+        for u in 0..n {
+            for v in 0..n {
+                let p = owner(u, v);
+                count[p * n + u] += 1;
+                for q in 0..k {
+                    let has = (self.bits[(q * n + u) * words + v / 64] >> (v % 64)) & 1 == 1;
+                    assert_eq!(
+                        has,
+                        q == p,
+                        "{axis} plane {q} disagrees at line {u}, element {v}"
+                    );
+                }
+            }
+        }
+        let tail = n % 64;
+        if tail != 0 {
+            let junk = !((1u64 << tail) - 1);
+            for q in 0..k {
+                for u in 0..n {
+                    assert_eq!(
+                        self.bits[(q * n + u + 1) * words - 1] & junk,
+                        0,
+                        "{axis} plane tail junk (plane {q}, line {u})"
+                    );
+                }
+                assert_eq!(
+                    self.occ[(q + 1) * words - 1] & junk,
+                    0,
+                    "{axis} occ tail junk"
+                );
+            }
+        }
+        assert_eq!(count, self.count, "{axis} count drift");
+        let mut units = 0u64;
+        for u in 0..n {
+            for q in 0..k {
+                let bit = (self.occ[q * words + u / 64] >> (u % 64)) & 1 == 1;
+                assert_eq!(bit, count[q * n + u] > 0, "{axis} occ drift at line {u}");
+            }
+            let c = (0..k).filter(|&q| count[q * n + u] > 0).count() as u8;
+            assert_eq!(c, self.procs[u], "{axis} procs drift at line {u}");
+            units += u64::from(c) - 1;
+        }
+        units
+    }
+}
+
+/// Where one plane's data starts in a [`Lines`]' arrays (the same for
+/// both axes).
+#[derive(Clone, Copy)]
+struct PlaneAt {
+    bits: usize,
+    count: usize,
+    occ: usize,
+}
+
+/// A partition of an `n x n` matrix among `k` processors, identified by
+/// plane ids `0..k`.
 ///
 /// See the [module documentation](self) for the maintained invariants.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Partition {
+#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub struct NPartition {
     n: usize,
+    k: usize,
     /// `ceil(n / 64)`: `u64` words per plane line.
     words: usize,
-    /// Row-major bit-planes, one per processor: bit `j % 64` of word
-    /// `i * words + j / 64` is set iff `q(i, j) = X`.
-    row_bits: [Vec<u64>; 3],
-    /// Column-major (transposed) bit-planes: bit `i % 64` of word
-    /// `j * words + i / 64` is set iff `q(i, j) = X`.
-    col_bits: [Vec<u64>; 3],
-    /// Occupied-row mask per processor: bit `i` set iff
-    /// `row_count[X][i] > 0`. One plane line of `n` bits.
-    row_occ: [Vec<u64>; 3],
-    /// Occupied-column mask per processor: bit `j` set iff
-    /// `col_count[X][j] > 0`.
-    col_occ: [Vec<u64>; 3],
-    /// `row_count[X][i]`: elements of processor `X` in row `i`.
-    row_count: [Vec<u32>; 3],
-    /// `col_count[X][j]`: elements of processor `X` in column `j`.
-    col_count: [Vec<u32>; 3],
-    /// `c_i`: number of distinct processors in each row.
-    row_procs: Vec<u8>,
-    /// `c_j`: number of distinct processors in each column.
-    col_procs: Vec<u8>,
+    /// `n * words`: words per plane, the distance between two planes'
+    /// copies of one line word.
+    stride: usize,
+    /// Row axis: cell `(i, j)` is element `j` of line `i`.
+    rows: Lines,
+    /// Column axis (transposed): cell `(i, j)` is element `i` of line `j`.
+    cols: Lines,
     /// `Σ_i (c_i - 1) + Σ_j (c_j - 1)`; `VoC = n * voc_units`.
     voc_units: u64,
-    /// `∈X` per processor.
-    elems: [usize; 3],
+    /// `∈p` per plane.
+    elems: Vec<usize>,
     /// Zobrist-style state hash, maintained incrementally: XOR of a mixed
-    /// key per `(cell, owner)` pair. Lets the Push DFA detect revisited
+    /// key per `(cell, owner)` pair. Lets the Push search detect revisited
     /// states (VoC-neutral cycles) in `O(1)`. The key schedule
-    /// (`mix64(idx * 3 + q)` over row-major `idx`) is independent of the
-    /// plane storage, so hashes are stable across representation changes.
+    /// (`mix64(idx * k + plane)` over row-major `idx`) is independent of
+    /// the plane storage, so hashes are stable across representation
+    /// changes.
     zobrist: u64,
-    /// Per-processor enclosing-rectangle bounds, maintained incrementally
-    /// in [`Partition::set`] like the Zobrist hash, making
-    /// [`Partition::enclosing_rect`] an `O(1)` read. Canonical: exactly the
-    /// bounding box while the processor owns any element, and
+    /// Per-plane enclosing-rectangle bounds, maintained incrementally in
+    /// [`NPartition::set`] like the Zobrist hash, making
+    /// [`NPartition::enclosing_rect`] an `O(1)` read. Canonical: exactly the
+    /// bounding box while the plane owns any element, and
     /// [`Bounds::EMPTY`] otherwise, so the derived `Eq`/serde stay
     /// content-addressed regardless of mutation history.
-    bounds: [Bounds; 3],
+    bounds: Vec<Bounds>,
 }
 
 /// Incrementally maintained bounding box of one processor's cells
@@ -128,81 +310,47 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl Partition {
-    /// A partition with every element assigned to `fill`.
-    ///
-    /// The paper's random `q0` generator starts from an all-`P` matrix
-    /// (Section VI-A-2).
-    pub fn new(n: usize, fill: Proc) -> Partition {
+impl NPartition {
+    /// All cells assigned to processor 0 (the fastest), as in the paper's
+    /// random start procedure.
+    pub fn new(n: usize, k: usize) -> NPartition {
+        NPartition::filled(n, k, 0)
+    }
+
+    /// A `k`-processor partition with every element assigned to `fill`.
+    fn filled(n: usize, k: usize, fill: u8) -> NPartition {
         assert!(n > 0, "matrix size must be positive");
-        let words = n.div_ceil(64);
-        let counts_full = vec![n as u32; n];
-        let counts_zero = vec![0u32; n];
-        let mut row_count = [
-            counts_zero.clone(),
-            counts_zero.clone(),
-            counts_zero.clone(),
-        ];
-        let mut col_count = row_count.clone();
-        row_count[fill.idx()] = counts_full.clone();
-        col_count[fill.idx()] = counts_full;
-        let line = full_line(n);
-        let plane_full: Vec<u64> = line
-            .iter()
-            .copied()
-            .cycle()
-            .take(words * n)
-            .collect::<Vec<_>>();
-        let plane_empty = vec![0u64; words * n];
-        let occ_empty = vec![0u64; words];
-        let mut row_bits = [plane_empty.clone(), plane_empty.clone(), plane_empty];
-        let mut col_bits = row_bits.clone();
-        row_bits[fill.idx()] = plane_full.clone();
-        col_bits[fill.idx()] = plane_full;
-        let mut row_occ = [occ_empty.clone(), occ_empty.clone(), occ_empty];
-        let mut col_occ = row_occ.clone();
-        row_occ[fill.idx()] = line.clone();
-        col_occ[fill.idx()] = line;
-        let mut elems = [0usize; 3];
-        elems[fill.idx()] = n * n;
+        assert!((2..=64).contains(&k), "2..=64 processors supported");
+        let fill_p = usize::from(fill);
+        assert!(
+            fill_p < k,
+            "fill plane {fill} out of range for {k} processors"
+        );
+        let mut elems = vec![0usize; k];
+        elems[fill_p] = n * n;
         let mut zobrist = 0u64;
         for idx in 0..(n * n) as u64 {
-            zobrist ^= mix64(idx * 3 + u64::from(fill.q()));
+            zobrist ^= mix64(idx * k as u64 + u64::from(fill));
         }
-        let mut bounds = [Bounds::EMPTY; 3];
-        bounds[fill.idx()] = Bounds {
+        let mut bounds = vec![Bounds::EMPTY; k];
+        bounds[fill_p] = Bounds {
             top: 0,
             bottom: n - 1,
             left: 0,
             right: n - 1,
         };
-        Partition {
+        NPartition {
             n,
-            words,
-            row_bits,
-            col_bits,
-            row_occ,
-            col_occ,
-            row_count,
-            col_count,
-            row_procs: vec![1; n],
-            col_procs: vec![1; n],
+            k,
+            words: n.div_ceil(64),
+            stride: n * n.div_ceil(64),
+            rows: Lines::filled(n, k, fill_p),
+            cols: Lines::filled(n, k, fill_p),
             voc_units: 0,
             elems,
             zobrist,
             bounds,
         }
-    }
-
-    /// Build a partition by evaluating `f(i, j)` for every cell.
-    pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> Proc) -> Partition {
-        let mut part = Partition::new(n, Proc::P);
-        for i in 0..n {
-            for j in 0..n {
-                part.set(i, j, f(i, j));
-            }
-        }
-        part
     }
 
     /// Matrix dimension `N`.
@@ -211,39 +359,73 @@ impl Partition {
         self.n
     }
 
+    /// Number of processors.
+    #[inline]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
     /// `ceil(n / 64)`: how many `u64` words make up one plane line.
     #[inline]
     pub fn words_per_line(&self) -> usize {
         self.words
     }
 
-    /// Word `w` of processor `proc`'s row-plane line `i`: bit `b` is set
-    /// iff `q(i, w * 64 + b) = proc`.
+    /// Word `w` of plane `proc`'s row line `i`: bit `b` is set iff cell
+    /// `(i, w * 64 + b)` belongs to `proc`.
     #[inline]
-    pub fn row_plane_word(&self, proc: Proc, i: usize, w: usize) -> u64 {
-        self.row_bits[proc.idx()][i * self.words + w]
+    pub fn row_plane_word(&self, proc: u8, i: usize, w: usize) -> u64 {
+        self.rows.bits[usize::from(proc) * self.stride + i * self.words + w]
     }
 
-    /// Word `w` of processor `proc`'s column-plane line `j`: bit `b` is set
-    /// iff `q(w * 64 + b, j) = proc`.
+    /// Word `w` of plane `proc`'s column line `j`: bit `b` is set iff cell
+    /// `(w * 64 + b, j)` belongs to `proc`.
     #[inline]
-    pub fn col_plane_word(&self, proc: Proc, j: usize, w: usize) -> u64 {
-        self.col_bits[proc.idx()][j * self.words + w]
+    pub fn col_plane_word(&self, proc: u8, j: usize, w: usize) -> u64 {
+        self.cols.bits[usize::from(proc) * self.stride + j * self.words + w]
     }
 
-    /// The processor assigned to cell `(i, j)`: two plane-word probes.
+    /// Owner of cell `(i, j)`: an `O(k)` probe of the row planes. Every
+    /// cell is owned by exactly one plane, so a miss on the first `k - 1`
+    /// planes means the last one.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> Proc {
-        debug_assert!(i < self.n && j < self.n);
-        let w = i * self.words + j / 64;
+    pub fn get(&self, i: usize, j: usize) -> u8 {
+        // A constant `k` unrolls the probe; three processors is the paper's
+        // case and the `Partition` facade's.
+        match self.k {
+            3 => self.owner(i, j, 3),
+            k => self.owner(i, j, k),
+        }
+    }
+
+    /// [`NPartition::get`] for a store of `k` planes: the first plane
+    /// whose row word has the cell's bit, the last plane if none of the
+    /// others has it.
+    #[inline(always)]
+    fn owner(&self, i: usize, j: usize, k: usize) -> u8 {
+        debug_assert!(i < self.n && j < self.n && k == self.k);
         let bit = 1u64 << (j % 64);
-        if self.row_bits[0][w] & bit != 0 {
-            Proc::from_q(0)
-        } else if self.row_bits[1][w] & bit != 0 {
-            Proc::from_q(1)
-        } else {
-            debug_assert!(self.row_bits[2][w] & bit != 0, "cell owned by nobody");
-            Proc::from_q(2)
+        let stride = self.stride;
+        let at = i * self.words + j / 64;
+        for p in 0..k - 1 {
+            if self.rows.bits[at + p * stride] & bit != 0 {
+                return p as u8;
+            }
+        }
+        debug_assert!(
+            self.rows.bits[at + (k - 1) * stride] & bit != 0,
+            "cell ({i}, {j}) owned by nobody"
+        );
+        (k - 1) as u8
+    }
+
+    /// Offsets of plane `p` in either axis's arrays.
+    #[inline(always)]
+    fn plane_at(&self, p: usize) -> PlaneAt {
+        PlaneAt {
+            bits: p * self.stride,
+            count: p * self.n,
+            occ: p * self.words,
         }
     }
 
@@ -251,76 +433,45 @@ impl Partition {
     ///
     /// Updates every derived count in `O(1)` (plus an amortized word-wise
     /// boundary sweep when a boundary line of the losing processor empties).
-    pub fn set(&mut self, i: usize, j: usize, proc: Proc) -> Proc {
+    pub fn set(&mut self, i: usize, j: usize, proc: u8) -> u8 {
         let old = self.get(i, j);
-        if old == proc {
-            return old;
+        if old != proc {
+            self.reassign(i, j, old, proc);
         }
-        let rw = i * self.words + j / 64;
-        let rbit = 1u64 << (j % 64);
-        let cw = j * self.words + i / 64;
-        let cbit = 1u64 << (i % 64);
-        self.row_bits[old.idx()][rw] &= !rbit;
-        self.row_bits[proc.idx()][rw] |= rbit;
-        self.col_bits[old.idx()][cw] &= !cbit;
-        self.col_bits[proc.idx()][cw] |= cbit;
-        self.elems[old.idx()] -= 1;
-        self.elems[proc.idx()] += 1;
-        let idx = i * self.n + j;
-        self.zobrist ^= mix64(idx as u64 * 3 + u64::from(old.q()))
-            ^ mix64(idx as u64 * 3 + u64::from(proc.q()));
+        old
+    }
 
-        // Row i bookkeeping.
-        let ow = i / 64;
-        let obit = 1u64 << (i % 64);
-        let rc_old = &mut self.row_count[old.idx()][i];
-        *rc_old -= 1;
-        let row_emptied = *rc_old == 0;
-        if row_emptied {
-            self.row_procs[i] -= 1;
-            self.voc_units -= 1;
-            self.row_occ[old.idx()][ow] &= !obit;
-        }
-        let rc_new = &mut self.row_count[proc.idx()][i];
-        if *rc_new == 0 {
-            self.row_procs[i] += 1;
-            self.voc_units += 1;
-            self.row_occ[proc.idx()][ow] |= obit;
-        }
-        *rc_new += 1;
-
-        // Column j bookkeeping.
-        let ow = j / 64;
-        let obit = 1u64 << (j % 64);
-        let cc_old = &mut self.col_count[old.idx()][j];
-        *cc_old -= 1;
-        let col_emptied = *cc_old == 0;
-        if col_emptied {
-            self.col_procs[j] -= 1;
-            self.voc_units -= 1;
-            self.col_occ[old.idx()][ow] &= !obit;
-        }
-        let cc_new = &mut self.col_count[proc.idx()][j];
-        if *cc_new == 0 {
-            self.col_procs[j] += 1;
-            self.voc_units += 1;
-            self.col_occ[proc.idx()][ow] |= obit;
-        }
-        *cc_new += 1;
+    /// Move cell `(i, j)` from its owner `old` to `proc != old`.
+    #[inline(always)]
+    fn reassign(&mut self, i: usize, j: usize, old: u8, proc: u8) {
+        debug_assert!(usize::from(proc) < self.k, "plane {proc} out of range");
+        debug_assert_eq!(self.get(i, j), old);
+        let (o, p) = (usize::from(old), usize::from(proc));
+        let planes = (self.plane_at(o), self.plane_at(p));
+        let row_emptied = self
+            .rows
+            .transfer(&mut self.voc_units, self.words, (i, j), planes);
+        let col_emptied = self
+            .cols
+            .transfer(&mut self.voc_units, self.words, (j, i), planes);
+        self.elems[o] -= 1;
+        self.elems[p] += 1;
+        let key = ((i * self.n + j) * self.k) as u64;
+        self.zobrist ^= mix64(key + u64::from(old)) ^ mix64(key + u64::from(proc));
 
         // Enclosing-rectangle bookkeeping. The gaining processor expands in
         // O(1); the losing processor shrinks by sweeping its occupied-line
         // mask inward from a boundary line that just emptied — only then,
         // word-wise, and never past the opposite edge (some line is nonzero
         // while the processor owns elements).
-        self.bounds[proc.idx()].expand(i, j);
+        self.bounds[p].expand(i, j);
         let mut scans = 0u64;
-        if self.elems[old.idx()] == 0 {
-            self.bounds[old.idx()] = Bounds::EMPTY;
+        if self.elems[o] == 0 {
+            self.bounds[o] = Bounds::EMPTY;
         } else {
-            let b = &mut self.bounds[old.idx()];
+            let b = &mut self.bounds[o];
             if row_emptied {
-                let occ = &self.row_occ[old.idx()];
+                let occ = self.rows.occ_of(planes.0, self.words);
                 if i == b.top {
                     let (t, s) = next_occupied(occ, b.top);
                     b.top = t;
@@ -333,7 +484,7 @@ impl Partition {
                 }
             }
             if col_emptied {
-                let occ = &self.col_occ[old.idx()];
+                let occ = self.cols.occ_of(planes.0, self.words);
                 if j == b.left {
                     let (l, s) = next_occupied(occ, b.left);
                     b.left = l;
@@ -351,88 +502,83 @@ impl Partition {
                 .counter(hetmmm_obs::metrics::names::GRID_SHRINK_WORD_SCANS)
                 .add(scans);
         }
-
-        old
     }
 
     /// Swap the assignments of two cells. A no-op if they match.
     pub fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
         let pa = self.get(a.0, a.1);
         let pb = self.get(b.0, b.1);
-        if pa == pb {
-            return;
+        if pa != pb {
+            self.reassign(a.0, a.1, pa, pb);
+            self.reassign(b.0, b.1, pb, pa);
         }
-        self.set(a.0, a.1, pb);
-        self.set(b.0, b.1, pa);
     }
 
-    /// `∈X`: the number of elements assigned to `proc`.
+    /// `∈p`: the number of elements assigned to `proc`.
     #[inline]
-    pub fn elems(&self, proc: Proc) -> usize {
-        self.elems[proc.idx()]
+    pub fn elems(&self, proc: u8) -> usize {
+        self.elems[usize::from(proc)]
     }
 
     /// Elements of `proc` in row `i`.
     #[inline]
-    pub fn row_count(&self, proc: Proc, i: usize) -> u32 {
-        self.row_count[proc.idx()][i]
+    pub fn row_count(&self, proc: u8, i: usize) -> u32 {
+        self.rows.count[usize::from(proc) * self.n + i]
     }
 
     /// Elements of `proc` in column `j`.
     #[inline]
-    pub fn col_count(&self, proc: Proc, j: usize) -> u32 {
-        self.col_count[proc.idx()][j]
+    pub fn col_count(&self, proc: u8, j: usize) -> u32 {
+        self.cols.count[usize::from(proc) * self.n + j]
     }
 
     /// The paper's `row(q, i, X)` predicate: does row `i` contain any element
     /// of `proc`? (Section VI-B.)
     #[inline]
-    pub fn row_has(&self, proc: Proc, i: usize) -> bool {
-        self.row_count[proc.idx()][i] > 0
+    pub fn row_has(&self, proc: u8, i: usize) -> bool {
+        self.row_count(proc, i) > 0
     }
 
     /// The paper's `col(q, j, X)` predicate.
     #[inline]
-    pub fn col_has(&self, proc: Proc, j: usize) -> bool {
-        self.col_count[proc.idx()][j] > 0
+    pub fn col_has(&self, proc: u8, j: usize) -> bool {
+        self.col_count(proc, j) > 0
     }
 
     /// `c_i`: number of distinct processors owning elements in row `i`.
     #[inline]
     pub fn procs_in_row(&self, i: usize) -> u8 {
-        self.row_procs[i]
+        self.rows.procs[i]
     }
 
     /// `c_j`: number of distinct processors owning elements in column `j`.
     #[inline]
     pub fn procs_in_col(&self, j: usize) -> u8 {
-        self.col_procs[j]
+        self.cols.procs[j]
+    }
+
+    /// Popcount of an occupied-line mask, counted in `grid.popcount.words`.
+    fn occupied(&self, lines: &Lines, proc: u8) -> usize {
+        let _span = hetmmm_obs::fine_span("partition.occupancy");
+        let mask = lines.occ_of(self.plane_at(usize::from(proc)), self.words);
+        if hetmmm_obs::metrics_enabled() {
+            hetmmm_obs::metrics()
+                .counter(hetmmm_obs::metrics::names::GRID_POPCOUNT_WORDS)
+                .add(mask.len() as u64);
+        }
+        mask.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `i_X`: the number of rows containing elements of `proc`
     /// (used by the PCB model, Eq. 6). A popcount over the occupied-row
     /// mask: `ceil(n / 64)` words instead of `n` counter loads.
-    pub fn rows_occupied(&self, proc: Proc) -> usize {
-        let _span = hetmmm_obs::fine_span("partition.occupancy");
-        let mask = &self.row_occ[proc.idx()];
-        if hetmmm_obs::metrics_enabled() {
-            hetmmm_obs::metrics()
-                .counter(hetmmm_obs::metrics::names::GRID_POPCOUNT_WORDS)
-                .add(mask.len() as u64);
-        }
-        mask.iter().map(|w| w.count_ones() as usize).sum()
+    pub fn rows_occupied(&self, proc: u8) -> usize {
+        self.occupied(&self.rows, proc)
     }
 
     /// `j_X`: the number of columns containing elements of `proc`.
-    pub fn cols_occupied(&self, proc: Proc) -> usize {
-        let _span = hetmmm_obs::fine_span("partition.occupancy");
-        let mask = &self.col_occ[proc.idx()];
-        if hetmmm_obs::metrics_enabled() {
-            hetmmm_obs::metrics()
-                .counter(hetmmm_obs::metrics::names::GRID_POPCOUNT_WORDS)
-                .add(mask.len() as u64);
-        }
-        mask.iter().map(|w| w.count_ones() as usize).sum()
+    pub fn cols_occupied(&self, proc: u8) -> usize {
+        self.occupied(&self.cols, proc)
     }
 
     /// `Σ_i (c_i - 1) + Σ_j (c_j - 1)`, the volume of communication in units
@@ -449,8 +595,8 @@ impl Partition {
     }
 
     /// A 64-bit hash of the full assignment, maintained incrementally
-    /// (Zobrist hashing). Equal partitions always hash equal; the DFA uses
-    /// it to detect revisited states in VoC-neutral push cycles.
+    /// (Zobrist hashing). Equal partitions always hash equal; the Push
+    /// search uses it to detect revisited states in VoC-neutral push cycles.
     #[inline]
     pub fn state_hash(&self) -> u64 {
         self.zobrist
@@ -458,9 +604,9 @@ impl Partition {
 
     /// The enclosing rectangle of `proc` (Fig. 4), or `None` if the processor
     /// owns no elements. `O(1)` read of the incrementally maintained bounds.
-    pub fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
+    pub fn enclosing_rect(&self, proc: u8) -> Option<Rect> {
         let _span = hetmmm_obs::fine_span("partition.enclosing_rect");
-        let b = self.bounds[proc.idx()];
+        let b = self.bounds[usize::from(proc)];
         if b.top > b.bottom {
             return None;
         }
@@ -468,11 +614,11 @@ impl Partition {
     }
 
     /// Iterate over the cells assigned to `proc`, row-major (word-wise
-    /// bit extraction, LSB first, so the order matches the old per-cell
-    /// scan exactly — seeded shuffles over this order are unchanged).
-    pub fn cells_of(&self, proc: Proc) -> impl Iterator<Item = (usize, usize)> + '_ {
+    /// bit extraction, LSB first, so the order matches a per-cell scan
+    /// exactly — seeded shuffles over this order are stable).
+    pub fn cells_of(&self, proc: u8) -> impl Iterator<Item = (usize, usize)> + '_ {
         let words = self.words;
-        let plane = &self.row_bits[proc.idx()];
+        let plane = &self.rows.bits[usize::from(proc) * self.stride..][..self.stride];
         (0..self.n).flat_map(move |i| {
             (0..words).flat_map(move |w| {
                 let mut m = plane[i * words + w];
@@ -489,7 +635,7 @@ impl Partition {
     }
 
     /// Assign every cell of `rect` to `proc`.
-    pub fn fill_rect(&mut self, rect: Rect, proc: Proc) {
+    pub fn fill_rect(&mut self, rect: Rect, proc: u8) {
         assert!(
             rect.bottom < self.n && rect.right < self.n,
             "rect out of bounds"
@@ -501,123 +647,195 @@ impl Partition {
 
     /// Does `proc` exactly fill its enclosing rectangle? (A *rectangular*
     /// processor in the strict sense.)
-    pub fn is_exact_rect(&self, proc: Proc) -> bool {
+    pub fn is_exact_rect(&self, proc: u8) -> bool {
         match self.enclosing_rect(proc) {
             None => false,
             Some(rect) => rect.area() == self.elems(proc),
         }
     }
 
-    /// Fully recompute every derived count from the raw bit-planes and panic
-    /// on any mismatch, including plane mutual-exclusion/coverage, the
+    /// Fully recompute every derived quantity from the raw bit-planes and
+    /// panic on any mismatch, including plane mutual-exclusion/coverage, the
     /// transposed column planes, occupied-line masks, and tail-bit hygiene.
-    /// Test/debug aid; `O(N²)`.
-    #[allow(clippy::needless_range_loop)] // index math mirrors the derivation being checked
+    /// Test/debug aid; `O(k N²)`.
     pub fn assert_invariants(&self) {
-        let n = self.n;
-        let words = self.words;
+        let (n, k, words) = (self.n, self.k, self.words);
         assert_eq!(words, n.div_ceil(64), "words_per_line drift");
+        assert_eq!(self.stride, n * words, "plane stride drift");
         // Reconstruct the ownership map from the row planes, checking that
-        // exactly one plane claims each cell and the column planes agree.
+        // exactly one plane claims each cell.
         let mut cells = vec![0u8; n * n];
         for i in 0..n {
             for j in 0..n {
-                let bit = 1u64 << (j % 64);
-                let owners: Vec<usize> = (0..3)
-                    .filter(|&p| self.row_bits[p][i * words + j / 64] & bit != 0)
+                let owners: Vec<u8> = (0..k as u8)
+                    .filter(|&p| (self.row_plane_word(p, i, j / 64) >> (j % 64)) & 1 == 1)
                     .collect();
-                assert_eq!(
-                    owners.len(),
-                    1,
-                    "cell ({i}, {j}) claimed by {} row planes",
-                    owners.len()
-                );
-                let p = owners[0];
-                cells[i * n + j] = p as u8;
-                let cbit = 1u64 << (i % 64);
-                for q in 0..3 {
-                    let has = self.col_bits[q][j * words + i / 64] & cbit != 0;
-                    assert_eq!(has, q == p, "col plane {q} disagrees at ({i}, {j})");
-                }
+                assert_eq!(owners.len(), 1, "cell ({i}, {j}) claimed by {owners:?}");
+                cells[i * n + j] = owners[0];
             }
         }
-        // Tail bits above n must stay zero in every plane line and mask.
-        let tail = n % 64;
-        if tail != 0 {
-            let junk = !((1u64 << tail) - 1);
-            for p in 0..3 {
-                for u in 0..n {
-                    assert_eq!(
-                        self.row_bits[p][u * words + words - 1] & junk,
-                        0,
-                        "row plane tail junk"
-                    );
-                    assert_eq!(
-                        self.col_bits[p][u * words + words - 1] & junk,
-                        0,
-                        "col plane tail junk"
-                    );
-                }
-                assert_eq!(self.row_occ[p][words - 1] & junk, 0, "row_occ tail junk");
-                assert_eq!(self.col_occ[p][words - 1] & junk, 0, "col_occ tail junk");
-            }
-        }
-        let mut row_count = [vec![0u32; n], vec![0u32; n], vec![0u32; n]];
-        let mut col_count = row_count.clone();
-        let mut elems = [0usize; 3];
-        for i in 0..n {
-            for j in 0..n {
-                let p = cells[i * n + j] as usize;
-                row_count[p][i] += 1;
-                col_count[p][j] += 1;
-                elems[p] += 1;
-            }
-        }
-        assert_eq!(row_count, self.row_count, "row_count drift");
-        assert_eq!(col_count, self.col_count, "col_count drift");
-        assert_eq!(elems, self.elems, "elems drift");
-        // Occupied-line masks must mirror the counts bit-for-bit.
-        for p in 0..3 {
-            for i in 0..n {
-                let bit = self.row_occ[p][i / 64] >> (i % 64) & 1;
-                assert_eq!(bit == 1, row_count[p][i] > 0, "row_occ drift at row {i}");
-            }
-            for j in 0..n {
-                let bit = self.col_occ[p][j / 64] >> (j % 64) & 1;
-                assert_eq!(bit == 1, col_count[p][j] > 0, "col_occ drift at col {j}");
-            }
-        }
-        let mut voc_units = 0u64;
-        for i in 0..n {
-            let c_i = Proc::ALL
-                .iter()
-                .filter(|p| row_count[p.idx()][i] > 0)
-                .count() as u8;
-            assert_eq!(c_i, self.row_procs[i], "row_procs drift at row {i}");
-            voc_units += u64::from(c_i) - 1;
-        }
-        for j in 0..n {
-            let c_j = Proc::ALL
-                .iter()
-                .filter(|p| col_count[p.idx()][j] > 0)
-                .count() as u8;
-            assert_eq!(c_j, self.col_procs[j], "col_procs drift at col {j}");
-            voc_units += u64::from(c_j) - 1;
-        }
-        assert_eq!(voc_units, self.voc_units, "voc_units drift");
+        let owner = |i: usize, j: usize| usize::from(cells[i * n + j]);
+        let units = self.rows.assert_matches("row", (n, k, words), owner)
+            + self
+                .cols
+                .assert_matches("col", (n, k, words), |j, i| owner(i, j));
+        assert_eq!(units, self.voc_units, "voc_units drift");
+        let mut elems = vec![0usize; k];
         let mut zobrist = 0u64;
-        for (idx, &q) in cells.iter().enumerate() {
-            zobrist ^= mix64(idx as u64 * 3 + u64::from(q));
+        let mut bounds = vec![Bounds::EMPTY; k];
+        for (idx, &p) in cells.iter().enumerate() {
+            elems[usize::from(p)] += 1;
+            zobrist ^= mix64((idx * k) as u64 + u64::from(p));
+            bounds[usize::from(p)].expand(idx / n, idx % n);
         }
+        assert_eq!(elems, self.elems, "elems drift");
         assert_eq!(zobrist, self.zobrist, "zobrist drift");
-        let mut bounds = [Bounds::EMPTY; 3];
+        assert_eq!(bounds, self.bounds, "enclosing-rect bounds drift");
+    }
+}
+
+/// A partition of an `n x n` matrix among processors `R`, `S`, `P`: a
+/// `k = 3` [`NPartition`] read and written through [`Proc`]-typed
+/// accessors, with plane id = [`Proc::q`].
+///
+/// Derefs to the store for every processor-independent read (`n`, `voc`,
+/// `voc_units`, `state_hash`, `procs_in_row`, `assert_invariants`, ...).
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Partition {
+    grid: NPartition,
+}
+
+impl Deref for Partition {
+    type Target = NPartition;
+
+    #[inline]
+    fn deref(&self) -> &NPartition {
+        &self.grid
+    }
+}
+
+impl Partition {
+    /// A partition with every element assigned to `fill`.
+    ///
+    /// The paper's random `q0` generator starts from an all-`P` matrix
+    /// (Section VI-A-2).
+    pub fn new(n: usize, fill: Proc) -> Partition {
+        Partition {
+            grid: NPartition::filled(n, 3, fill.q()),
+        }
+    }
+
+    /// Build a partition by evaluating `f(i, j)` for every cell.
+    pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> Proc) -> Partition {
+        let mut part = Partition::new(n, Proc::P);
         for i in 0..n {
             for j in 0..n {
-                let p = cells[i * n + j] as usize;
-                bounds[p].expand(i, j);
+                part.set(i, j, f(i, j));
             }
         }
-        assert_eq!(bounds, self.bounds, "enclosing-rect bounds drift");
+        part
+    }
+
+    /// The underlying store, for code written against plane ids (the push
+    /// views). Any plane id it accepts names a [`Proc`], so writes through
+    /// it keep the facade valid.
+    #[inline]
+    pub fn grid_mut(&mut self) -> &mut NPartition {
+        &mut self.grid
+    }
+
+    /// Word `w` of processor `proc`'s row-plane line `i`: bit `b` is set
+    /// iff `q(i, w * 64 + b) = proc`.
+    #[inline]
+    pub fn row_plane_word(&self, proc: Proc, i: usize, w: usize) -> u64 {
+        self.grid.row_plane_word(proc.q(), i, w)
+    }
+
+    /// Word `w` of processor `proc`'s column-plane line `j`: bit `b` is set
+    /// iff `q(w * 64 + b, j) = proc`.
+    #[inline]
+    pub fn col_plane_word(&self, proc: Proc, j: usize, w: usize) -> u64 {
+        self.grid.col_plane_word(proc.q(), j, w)
+    }
+
+    /// The processor assigned to cell `(i, j)`: two plane-word probes.
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> Proc {
+        Proc::from_plane(self.grid.owner(i, j, 3))
+    }
+
+    /// Reassign cell `(i, j)` to `proc`, returning the previous owner.
+    /// See [`NPartition::set`].
+    #[inline]
+    pub fn set(&mut self, i: usize, j: usize, proc: Proc) -> Proc {
+        Proc::from_plane(self.grid.set(i, j, proc.q()))
+    }
+
+    /// Swap the assignments of two cells. A no-op if they match.
+    #[inline]
+    pub fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
+        self.grid.swap(a, b);
+    }
+
+    /// `∈X`: the number of elements assigned to `proc`.
+    #[inline]
+    pub fn elems(&self, proc: Proc) -> usize {
+        self.grid.elems(proc.q())
+    }
+
+    /// Elements of `proc` in row `i`.
+    #[inline]
+    pub fn row_count(&self, proc: Proc, i: usize) -> u32 {
+        self.grid.row_count(proc.q(), i)
+    }
+
+    /// Elements of `proc` in column `j`.
+    #[inline]
+    pub fn col_count(&self, proc: Proc, j: usize) -> u32 {
+        self.grid.col_count(proc.q(), j)
+    }
+
+    /// The paper's `row(q, i, X)` predicate (Section VI-B).
+    #[inline]
+    pub fn row_has(&self, proc: Proc, i: usize) -> bool {
+        self.grid.row_has(proc.q(), i)
+    }
+
+    /// The paper's `col(q, j, X)` predicate.
+    #[inline]
+    pub fn col_has(&self, proc: Proc, j: usize) -> bool {
+        self.grid.col_has(proc.q(), j)
+    }
+
+    /// `i_X`: the number of rows containing elements of `proc` (Eq. 6).
+    pub fn rows_occupied(&self, proc: Proc) -> usize {
+        self.grid.rows_occupied(proc.q())
+    }
+
+    /// `j_X`: the number of columns containing elements of `proc`.
+    pub fn cols_occupied(&self, proc: Proc) -> usize {
+        self.grid.cols_occupied(proc.q())
+    }
+
+    /// The enclosing rectangle of `proc` (Fig. 4), or `None` if the
+    /// processor owns no elements.
+    pub fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
+        self.grid.enclosing_rect(proc.q())
+    }
+
+    /// Iterate over the cells assigned to `proc`, row-major.
+    pub fn cells_of(&self, proc: Proc) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.grid.cells_of(proc.q())
+    }
+
+    /// Assign every cell of `rect` to `proc`.
+    pub fn fill_rect(&mut self, rect: Rect, proc: Proc) {
+        self.grid.fill_rect(rect, proc.q());
+    }
+
+    /// Does `proc` exactly fill its enclosing rectangle?
+    pub fn is_exact_rect(&self, proc: Proc) -> bool {
+        self.grid.is_exact_rect(proc.q())
     }
 }
 
@@ -626,15 +844,15 @@ impl fmt::Debug for Partition {
         writeln!(
             f,
             "Partition(n={}, voc={}, elems R={} S={} P={})",
-            self.n,
+            self.n(),
             self.voc(),
             self.elems(Proc::R),
             self.elems(Proc::S),
             self.elems(Proc::P),
         )?;
-        if self.n <= 64 {
-            for i in 0..self.n {
-                for j in 0..self.n {
+        if self.n() <= 64 {
+            for i in 0..self.n() {
+                for j in 0..self.n() {
                     write!(f, "{}", self.get(i, j).letter())?;
                 }
                 writeln!(f)?;
@@ -647,6 +865,8 @@ impl fmt::Debug for Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn new_is_uniform() {
@@ -657,6 +877,14 @@ mod tests {
         assert_eq!(p.enclosing_rect(Proc::P), Some(Rect::new(0, 7, 0, 7)));
         assert_eq!(p.enclosing_rect(Proc::R), None);
         p.assert_invariants();
+    }
+
+    #[test]
+    fn new_is_all_proc_zero() {
+        let part = NPartition::new(8, 4);
+        assert_eq!(part.elems(0), 64);
+        assert_eq!(part.voc(), 0);
+        part.assert_invariants();
     }
 
     #[test]
@@ -679,6 +907,20 @@ mod tests {
     }
 
     #[test]
+    fn set_updates_counts_for_many_procs() {
+        let mut part = NPartition::new(6, 5);
+        part.set(0, 0, 1);
+        part.set(0, 1, 2);
+        part.set(0, 2, 3);
+        part.set(0, 3, 4);
+        // Row 0 now hosts 5 distinct processors: +4 row units; each column
+        // touched hosts 2: +1 each.
+        assert_eq!(part.voc_units(), 4 + 4);
+        assert_eq!(part.procs_in_row(0), 5);
+        part.assert_invariants();
+    }
+
+    #[test]
     fn three_procs_in_one_row() {
         let mut p = Partition::new(3, Proc::P);
         p.set(0, 0, Proc::R);
@@ -687,6 +929,24 @@ mod tests {
         // Row 0 contributes 2 units; columns 0 and 1 contribute 1 each.
         assert_eq!(p.voc_units(), 4);
         p.assert_invariants();
+    }
+
+    #[test]
+    fn k3_matches_three_proc_voc_semantics() {
+        // Strips across 3 procs: the same VoC and hash as the facade.
+        let n = 9;
+        let mut part = NPartition::new(n, 3);
+        let mut facade = Partition::new(n, Proc::R);
+        for i in 3..9 {
+            for j in 0..n {
+                let p = if i < 6 { 1 } else { 2 };
+                part.set(i, j, p);
+                facade.set(i, j, Proc::from_q(p));
+            }
+        }
+        assert_eq!(part.voc(), (n * n * 2) as u64);
+        assert_eq!(&part, &*facade);
+        assert_eq!(part.state_hash(), facade.state_hash());
     }
 
     #[test]
@@ -772,6 +1032,22 @@ mod tests {
     }
 
     #[test]
+    fn random_respects_weights() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let part = NPartition::random(40, &[8, 4, 2, 1, 1], &mut rng);
+        let total = 1600usize;
+        assert_eq!(part.elems(1), total * 4 / 16);
+        assert_eq!(part.elems(2), total * 2 / 16);
+        assert_eq!(part.elems(3), total / 16);
+        assert_eq!(part.elems(4), total / 16);
+        assert_eq!(
+            part.elems(0),
+            total - part.elems(1) - part.elems(2) - part.elems(3) - part.elems(4)
+        );
+        part.assert_invariants();
+    }
+
+    #[test]
     fn bounds_shrink_through_interior_and_edge_removals() {
         let mut p = Partition::new(12, Proc::P);
         p.fill_rect(Rect::new(2, 9, 3, 8), Proc::R);
@@ -800,6 +1076,18 @@ mod tests {
         p.assert_invariants();
     }
 
+    /// The enclosing rectangle of plane `q`, rescanned from the line
+    /// predicates.
+    fn scan_rect(part: &NPartition, q: u8) -> Option<Rect> {
+        let n = part.n();
+        let rows: Vec<usize> = (0..n).filter(|&i| part.row_has(q, i)).collect();
+        let cols: Vec<usize> = (0..n).filter(|&j| part.col_has(q, j)).collect();
+        match (rows.first(), rows.last(), cols.first(), cols.last()) {
+            (Some(&t), Some(&b), Some(&l), Some(&r)) => Some(Rect::new(t, b, l, r)),
+            _ => None,
+        }
+    }
+
     #[test]
     fn bounds_match_scan_recompute_on_random_set_sequences() {
         // Deterministic pseudo-random set() churn; after every mutation the
@@ -820,18 +1108,32 @@ mod tests {
             let proc = Proc::from_q((r % 3) as u8);
             p.set(i, j, proc);
             for q in Proc::ALL {
-                let scan = {
-                    let rows: Vec<usize> = (0..n).filter(|&i| p.row_has(q, i)).collect();
-                    let cols: Vec<usize> = (0..n).filter(|&j| p.col_has(q, j)).collect();
-                    match (rows.first(), rows.last(), cols.first(), cols.last()) {
-                        (Some(&t), Some(&b), Some(&l), Some(&r)) => Some(Rect::new(t, b, l, r)),
-                        _ => None,
-                    }
-                };
-                assert_eq!(p.enclosing_rect(q), scan);
+                assert_eq!(p.enclosing_rect(q), scan_rect(&p, q.q()));
             }
         }
         p.assert_invariants();
+    }
+
+    #[test]
+    fn bounds_track_random_set_churn() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let n = 14;
+        let k = 5u8;
+        let mut part = NPartition::new(n, k as usize);
+        for step in 0..1500u64 {
+            let i = rng.random_range(0..n);
+            let j = rng.random_range(0..n);
+            let p = rng.random_range(0..k);
+            part.set(i, j, p);
+            for q in 0..k {
+                assert_eq!(
+                    part.enclosing_rect(q),
+                    scan_rect(&part, q),
+                    "owner {q} at step {step}"
+                );
+            }
+        }
+        part.assert_invariants();
     }
 
     #[test]
@@ -849,28 +1151,33 @@ mod tests {
         assert_eq!(a.state_hash(), b.state_hash());
     }
 
-    /// Reference implementation: the pre-bit-plane element→owner `Vec`,
-    /// recomputed from scratch. The keep-alive oracle below pins the planes
-    /// against it after arbitrary `set` churn.
+    #[test]
+    fn state_hash_content_addressed() {
+        let mut a = NPartition::new(5, 4);
+        let mut b = NPartition::new(5, 4);
+        a.set(1, 2, 3);
+        b.set(1, 2, 3);
+        assert_eq!(a.state_hash(), b.state_hash());
+        b.set(1, 2, 2);
+        assert_ne!(a.state_hash(), b.state_hash());
+    }
+
+    #[test]
+    #[should_panic(expected = "2..=64")]
+    fn k_out_of_range_rejected() {
+        let _ = NPartition::new(4, 1);
+    }
+
+    /// Reference implementation: a plain element→owner `Vec`, recomputed
+    /// from scratch. The keep-alive oracle below pins the planes against
+    /// it after arbitrary `set` churn.
     struct VecOracle {
         n: usize,
         cells: Vec<u8>,
     }
 
     impl VecOracle {
-        fn new(n: usize, fill: Proc) -> VecOracle {
-            VecOracle {
-                n,
-                cells: vec![fill.q(); n * n],
-            }
-        }
-
-        fn set(&mut self, i: usize, j: usize, proc: Proc) {
-            self.cells[i * self.n + j] = proc.q();
-        }
-
-        fn rect(&self, proc: Proc) -> Option<Rect> {
-            let q = proc.q();
+        fn rect(&self, q: u8) -> Option<Rect> {
             let mut b: Option<(usize, usize, usize, usize)> = None;
             for i in 0..self.n {
                 for j in 0..self.n {
@@ -886,24 +1193,35 @@ mod tests {
             b.map(|(t, bo, l, r)| Rect::new(t, bo, l, r))
         }
 
-        fn rows_occupied(&self, proc: Proc) -> usize {
-            let q = proc.q();
+        fn rows_occupied(&self, q: u8) -> usize {
             (0..self.n)
                 .filter(|&i| (0..self.n).any(|j| self.cells[i * self.n + j] == q))
                 .count()
         }
 
-        fn cols_occupied(&self, proc: Proc) -> usize {
-            let q = proc.q();
+        fn cols_occupied(&self, q: u8) -> usize {
             (0..self.n)
                 .filter(|&j| (0..self.n).any(|i| self.cells[i * self.n + j] == q))
                 .count()
         }
     }
 
+    /// Churn a `k = 3` facade from all-`P` (and, at `k = 5`, a bare store
+    /// from all-0) with pseudo-random `set`s, then check every derived
+    /// quantity against the Vec oracle.
     fn churn_against_oracle(n: usize, steps: usize, seed: u64) {
-        let mut p = Partition::new(n, Proc::P);
-        let mut oracle = VecOracle::new(n, Proc::P);
+        let mut facade = Partition::new(n, Proc::P);
+        let mut store = NPartition::new(n, 5);
+        let mut oracles = [
+            VecOracle {
+                n,
+                cells: vec![Proc::P.q(); n * n],
+            },
+            VecOracle {
+                n,
+                cells: vec![0; n * n],
+            },
+        ];
         let mut state = seed;
         let mut next = move || {
             state ^= state << 13;
@@ -916,27 +1234,32 @@ mod tests {
             let i = (r as usize >> 8) % n;
             let j = (r as usize >> 24) % n;
             let proc = Proc::from_q((r % 3) as u8);
-            p.set(i, j, proc);
-            oracle.set(i, j, proc);
+            facade.set(i, j, proc);
+            oracles[0].cells[i * n + j] = proc.q();
+            let plane = ((r >> 40) % 5) as u8;
+            store.set(i, j, plane);
+            oracles[1].cells[i * n + j] = plane;
         }
-        // Keep-alive ownership oracle: every cell, every derived quantity.
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(p.get(i, j).q(), oracle.cells[i * n + j], "({i}, {j})");
+        for (grid, oracle) in [&*facade, &store].into_iter().zip(&oracles) {
+            // Keep-alive ownership oracle: every cell, every derived quantity.
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(grid.get(i, j), oracle.cells[i * n + j], "({i}, {j})");
+                }
             }
+            for q in 0..grid.k() as u8 {
+                assert_eq!(grid.enclosing_rect(q), oracle.rect(q));
+                assert_eq!(grid.rows_occupied(q), oracle.rows_occupied(q));
+                assert_eq!(grid.cols_occupied(q), oracle.cols_occupied(q));
+                let got: Vec<(usize, usize)> = grid.cells_of(q).collect();
+                let want: Vec<(usize, usize)> = (0..n * n)
+                    .filter(|&idx| oracle.cells[idx] == q)
+                    .map(|idx| (idx / n, idx % n))
+                    .collect();
+                assert_eq!(got, want, "cells_of order drift");
+            }
+            grid.assert_invariants();
         }
-        for q in Proc::ALL {
-            assert_eq!(p.enclosing_rect(q), oracle.rect(q));
-            assert_eq!(p.rows_occupied(q), oracle.rows_occupied(q));
-            assert_eq!(p.cols_occupied(q), oracle.cols_occupied(q));
-        }
-        let got: Vec<(usize, usize)> = p.cells_of(Proc::R).collect();
-        let want: Vec<(usize, usize)> = (0..n * n)
-            .filter(|&idx| oracle.cells[idx] == Proc::R.q())
-            .map(|idx| (idx / n, idx % n))
-            .collect();
-        assert_eq!(got, want, "cells_of order drift");
-        p.assert_invariants();
     }
 
     #[test]
@@ -954,11 +1277,7 @@ mod tests {
 
     #[test]
     fn word_boundary_sizes_round_trip() {
-        // n = 2 is the smallest size whose transient voc accounting stays
-        // nonnegative (at n = 1 emptying the only row underflows before
-        // the gaining processor restores it — true of the bookkeeping
-        // order since the Vec representation, not a plane artifact).
-        for n in [2, 63, 64, 128] {
+        for n in [1, 2, 63, 64, 128] {
             churn_against_oracle(n, 500.min(n * n * 4), n as u64 + 1);
         }
     }

@@ -15,25 +15,30 @@
 //! ```
 //!
 //! where `c_i` (`c_j`) is the number of processors owning elements in row `i`
-//! (column `j`). [`Partition`] maintains all the per-row/per-column occupancy
-//! counts **incrementally**, so a single element reassignment and the
-//! resulting VoC delta are `O(1)`. This is what makes the Push search engine
-//! (crate `hetmmm-push`) able to run thousands of multi-thousand-step DFA
-//! walks per second.
+//! (column `j`). The grid store [`NPartition`] — a partition among `k`
+//! processors, the workspace's only grid — maintains all the
+//! per-row/per-column occupancy counts **incrementally**, so a single
+//! element reassignment and the resulting VoC delta are `O(1)`. This is what
+//! makes the Push search engine (crate `hetmmm-push`) able to run thousands
+//! of multi-thousand-step DFA walks per second. [`Partition`] is its
+//! three-processor facade: a `k = 3` store with [`Proc`]-typed accessors and
+//! plane id = [`Proc::q`], so its state hash is that of the paper's `q`
+//! encoding.
 //!
 //! Modules:
 //! - [`proc_`]: the processor enum and speed-ratio arithmetic,
 //! - [`rect`]: inclusive integer rectangles (enclosing rectangles, Fig. 4),
-//! - [`grid`]: the [`Partition`] grid itself,
+//! - [`grid`]: the [`NPartition`] store and the [`Partition`] facade,
 //! - [`metrics`]: extracted communication metrics consumed by the cost models,
 //! - [`builder`]: constructing partitions from rectangle layouts and the
-//!   paper's randomized `q0` generator (Section VI-A-2),
+//!   paper's randomized `q0` generator (Section VI-A-2), plus
+//!   [`NPartition::random`] for `k` processors,
 //! - [`render`]: coarse-grained ASCII / PGM rendering (Fig. 7 style).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bits;
+mod bits;
 pub mod builder;
 pub mod grid;
 pub mod metrics;
@@ -43,7 +48,7 @@ pub mod render;
 pub mod sym;
 
 pub use builder::{random_partition, PartitionBuilder};
-pub use grid::Partition;
+pub use grid::{NPartition, Partition, PlaneId};
 pub use metrics::{local_updates, pairwise_volumes, CommMetrics, ProcMetrics};
 pub use proc_::{Proc, Ratio};
 pub use rect::Rect;

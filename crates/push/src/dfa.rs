@@ -251,7 +251,7 @@ impl DfaRunner {
         // the hash still matches, re-running `try_push_any_type` is provably
         // a no-op — skip it and emit the same rejection event. No RNG is
         // consumed either way, so seeded runs are bit-identical.
-        let mut probes = ProbeCache::default();
+        let mut probes = ProbeCache::new(part.k());
         // Sorted copy of the requested snapshot steps: one binary search
         // per applied step instead of three linear scans.
         let snapshot_at = {
@@ -281,7 +281,7 @@ impl DfaRunner {
                     continue;
                 }
                 if let Some(applied) = try_push_any_type(&mut part, proc, dir) {
-                    probes.evict_touched(&applied.touched);
+                    probes.evict_touched(applied.touched_mask);
                     steps += 1;
                     progressed = true;
                     pushes_by_type[type_index(applied.ty)] += 1;

@@ -1,10 +1,11 @@
-//! Canonical-coordinate geometry shared by every push view.
+//! Canonical-coordinate geometry shared by both push views.
 //!
 //! The paper describes Push↓ in full and notes "the ↑, ← and → directions
-//! are similar" (Section IV-A). All four direction-canonicalizing views —
-//! the mutable 3-processor [`crate::view::View`], its read-only probe
-//! overlay, and the n-processor pair in `hetmmm-nproc` — share one
-//! coordinate convention:
+//! are similar" (Section IV-A). Both direction-canonicalizing views — the
+//! mutable [`crate::view::View`] and the read-only
+//! [`crate::view::ProbeView`] overlay, each serving the 3-processor and the
+//! k-processor kernel — hold one `Canon` and share its coordinate
+//! convention:
 //!
 //! | direction | cleaned edge      | canonical `(u, v)` → real `(i, j)` |
 //! |-----------|-------------------|-------------------------------------|
@@ -24,10 +25,11 @@
 //!    word `w` of the canonical line is word `w` of the real line, bit for
 //!    bit.
 //!
-//! [`canonical_geometry!`] generates the whole dispatch once per view type
-//! instead of four hand-written `match self.dir` blocks per view, so the
-//! 6-types × 4-directions push table has exactly one definition of "which
-//! real line is canonical row `u`" to drift from.
+//! `Canon` is the table's one definition of "which real line is
+//! canonical row `u`", so the push table has nothing to drift from.
+
+use crate::op::Direction;
+use hetmmm_partition::{NPartition, Rect};
 
 /// Which real axis a canonical line maps to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -40,103 +42,75 @@ pub enum Axis {
     Col,
 }
 
-/// Generate the canonical-coordinate geometry methods for one view type.
-///
-/// The expanding type must have `dir: $dir_ty` and `n: usize` fields, and a
-/// `$base` field whose grid exposes `row_plane_word(proc, line, word)` and
-/// `col_plane_word(proc, line, word)` (both
-/// [`Partition`](hetmmm_partition::Partition) and `hetmmm-nproc`'s
-/// `NPartition` do). `$dir_ty` must have `Down` / `Up` / `Left` / `Right`
-/// variants with the table's semantics.
-///
-/// Generated methods (all inherent, `pub(crate)`-free so the expanding
-/// module controls visibility through the impl block):
-///
-/// - `map(u, v) -> (i, j)`: canonical cell to real cell,
-/// - `canon_row_line(u) -> (line, Axis)`: the real line behind canonical
-///   row `u`,
-/// - `canon_col_line(v) -> (line, Axis)`: the real line behind canonical
-///   column `v`,
-/// - `canon_rect(t, b, l, r) -> (t, b, l, r)`: a real bounding box in
-///   canonical coordinates,
-/// - `plane_line_word(proc, u, w)`: the bit-plane fast path, answered from
-///   the base grid. For a mutable view that is the live grid; for a
-///   read-only overlay it is the pre-push grid, ignoring overlay swaps.
-///   Both satisfy [`crate::sweep::SweepGrid::line_word`]'s contract, which
-///   only asks for pre-push bits at cells of buckets not yet extracted.
-#[macro_export]
-macro_rules! canonical_geometry {
-    (dir: $dir_ty:path, proc: $proc_ty:ty, base: $base:ident) => {
-        /// Map canonical `(u, v)` to real `(i, j)` (see the table in
-        /// `hetmmm_push::geom`).
-        #[inline]
-        fn map(&self, u: usize, v: usize) -> (usize, usize) {
-            use $dir_ty as D;
-            match self.dir {
-                D::Down => (u, v),
-                D::Up => (self.n - 1 - u, v),
-                D::Right => (v, u),
-                D::Left => (v, self.n - 1 - u),
-            }
-        }
+/// The canonical mapping of one push direction on an `n x n` grid.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Canon {
+    dir: Direction,
+    n: usize,
+}
 
-        /// The real line holding canonical row `u`: its index and axis.
-        #[inline]
-        fn canon_row_line(&self, u: usize) -> (usize, $crate::geom::Axis) {
-            use $crate::geom::Axis;
-            use $dir_ty as D;
-            match self.dir {
-                D::Down => (u, Axis::Row),
-                D::Up => (self.n - 1 - u, Axis::Row),
-                D::Right => (u, Axis::Col),
-                D::Left => (self.n - 1 - u, Axis::Col),
-            }
-        }
+impl Canon {
+    /// The mapping under which a push in `dir` on an `n x n` grid is a
+    /// canonical Push↓.
+    pub(crate) fn new(dir: Direction, n: usize) -> Canon {
+        Canon { dir, n }
+    }
 
-        /// The real line holding canonical column `v`. Within-line indices
-        /// are never flipped, so the line index is always `v` itself.
-        #[inline]
-        fn canon_col_line(&self, v: usize) -> (usize, $crate::geom::Axis) {
-            use $crate::geom::Axis;
-            use $dir_ty as D;
-            match self.dir {
-                D::Down | D::Up => (v, Axis::Col),
-                D::Right | D::Left => (v, Axis::Row),
-            }
+    /// Map canonical `(u, v)` to real `(i, j)`.
+    #[inline]
+    pub(crate) fn map(self, u: usize, v: usize) -> (usize, usize) {
+        match self.dir {
+            Direction::Down => (u, v),
+            Direction::Up => (self.n - 1 - u, v),
+            Direction::Right => (v, u),
+            Direction::Left => (v, self.n - 1 - u),
         }
+    }
 
-        /// A real bounding box `(top, bottom, left, right)` in canonical
-        /// coordinates.
-        #[inline]
-        fn canon_rect(
-            &self,
-            top: usize,
-            bottom: usize,
-            left: usize,
-            right: usize,
-        ) -> (usize, usize, usize, usize) {
-            use $dir_ty as D;
-            let n = self.n;
-            match self.dir {
-                D::Down => (top, bottom, left, right),
-                D::Up => (n - 1 - bottom, n - 1 - top, left, right),
-                D::Right => (left, right, top, bottom),
-                D::Left => (n - 1 - right, n - 1 - left, top, bottom),
-            }
+    /// The real line holding canonical row `u`: its index and axis.
+    #[inline]
+    pub(crate) fn row_line(self, u: usize) -> (usize, Axis) {
+        match self.dir {
+            Direction::Down => (u, Axis::Row),
+            Direction::Up => (self.n - 1 - u, Axis::Row),
+            Direction::Right => (u, Axis::Col),
+            Direction::Left => (self.n - 1 - u, Axis::Col),
         }
+    }
 
-        /// Bit-plane fast path: word `w` of `proc`'s canonical-row-`u`
-        /// plane line, straight from the base grid (fact 2 in
-        /// `hetmmm_push::geom`: within-line bit order is direction-
-        /// independent). Overlay swaps are not reflected; see
-        /// `hetmmm_push::sweep::SweepGrid::line_word` for why the push
-        /// kernel's mid-attempt reads are still exact.
-        #[inline]
-        fn plane_line_word(&self, proc: $proc_ty, u: usize, w: usize) -> u64 {
-            match self.canon_row_line(u) {
-                (i, $crate::geom::Axis::Row) => self.$base.row_plane_word(proc, i, w),
-                (j, $crate::geom::Axis::Col) => self.$base.col_plane_word(proc, j, w),
-            }
+    /// The real line holding canonical column `v`. Within-line indices are
+    /// never flipped, so the line index is always `v` itself.
+    #[inline]
+    pub(crate) fn col_line(self, v: usize) -> (usize, Axis) {
+        match self.dir {
+            Direction::Down | Direction::Up => (v, Axis::Col),
+            Direction::Right | Direction::Left => (v, Axis::Row),
         }
-    };
+    }
+
+    /// A real bounding box in canonical coordinates.
+    #[inline]
+    pub(crate) fn rect(self, r: Rect) -> Rect {
+        let n = self.n;
+        match self.dir {
+            Direction::Down => r,
+            Direction::Up => Rect::new(n - 1 - r.bottom, n - 1 - r.top, r.left, r.right),
+            Direction::Right => Rect::new(r.left, r.right, r.top, r.bottom),
+            Direction::Left => Rect::new(n - 1 - r.right, n - 1 - r.left, r.top, r.bottom),
+        }
+    }
+
+    /// Bit-plane fast path: word `w` of plane `plane`'s canonical-row-`u`
+    /// line in `grid` (fact 2 above: within-line bit order is
+    /// direction-independent). A mutable view passes its live grid, a
+    /// read-only overlay its pre-push base grid; both satisfy
+    /// [`crate::sweep::SweepGrid::line_word`]'s contract, which only asks
+    /// for pre-push bits at cells of buckets not yet extracted.
+    #[inline]
+    pub(crate) fn line_word(self, grid: &NPartition, plane: u8, u: usize, w: usize) -> u64 {
+        match self.row_line(u) {
+            (i, Axis::Row) => grid.row_plane_word(plane, i, w),
+            (j, Axis::Col) => grid.col_plane_word(plane, j, w),
+        }
+    }
 }

@@ -17,13 +17,16 @@
 //! - [`op`]: directions, push types, and the atomic [`op::try_push`] /
 //!   [`op::try_push_any_type`] operations with exact ΔVoC accounting and
 //!   rollback,
-//! - [`geom`]: the canonical-coordinate table and the
-//!   [`canonical_geometry!`] macro that generates it once per view type,
-//! - [`view`]: the direction-canonicalizing coordinate view that lets one
-//!   implementation serve ↓, ↑, ← and →,
+//! - [`geom`]: the canonical-coordinate table, one `Copy` value per
+//!   `(direction, n)` that both views hold,
+//! - [`view`]: the view layer shared with the k-processor kernel — the
+//!   mutable [`view::View`] and the read-only [`view::ProbeView`] overlay,
+//!   both over the `hetmmm-partition` grid store, both serving ↓, ↑, ← and
+//!   → through one implementation of the [`view::PushGrid`] accessors,
 //! - [`probe`]: clone-free feasibility probes ([`probe::push_feasible`])
-//!   answered by the same kernel through a read-only overlay, plus the
-//!   hash-verified per-run verdict cache the DFA uses,
+//!   answered by the same kernel through the read-only overlay, plus the
+//!   hash-verified per-run verdict cache ([`probe::ProbeCache`]) both
+//!   searches use,
 //! - [`sweep`]: phase 1 of a push, shared with the k-processor kernel —
 //!   word-wise target counts and on-demand bucket extraction,
 //! - [`dfa`]: the randomized search engine (random `q0`, random direction
@@ -45,4 +48,4 @@ pub mod view;
 pub use beautify::{beautify, is_condensed};
 pub use dfa::{DfaConfig, DfaOutcome, DfaRunner, PushPlan, Termination};
 pub use op::{try_push, try_push_any_type, AppliedPush, Direction, PushType};
-pub use probe::push_feasible;
+pub use probe::{push_feasible, ProbeCache};

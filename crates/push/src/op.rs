@@ -41,9 +41,9 @@
 //! this matches the paper's Types 3/4/6 which explicitly permit receiver
 //! dirtying within budget.
 
-use crate::sweep::{Prepared, SweepGrid};
-use crate::view::View;
-use hetmmm_partition::{Partition, Proc, Rect};
+use crate::sweep::Prepared;
+use crate::view::{PushGrid, View};
+use hetmmm_partition::{Partition, Proc};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -206,36 +206,11 @@ pub struct AppliedPush {
     /// Number of element swaps performed (= active elements in the cleaned
     /// line).
     pub swaps: usize,
-    /// Which processors' elements the push moved — the active processor
-    /// plus every displaced receiver — indexed by `Proc::idx()`. The DFA
-    /// uses this to evict probe-cache entries for exactly the processors
+    /// Bitmask (bit = `Proc::q()`) of every processor whose elements the
+    /// push moved: the active processor plus each displaced receiver. The
+    /// DFA uses it to evict probe-cache slots for exactly the processors
     /// whose occupancy changed.
-    pub touched: [bool; 3],
-}
-
-/// Canonical-coordinate grid accessors the push kernel needs, on top of
-/// the reads the target sweep shares with the k-processor kernel
-/// ([`SweepGrid`]).
-///
-/// Two implementations share the kernel: the mutable [`View`] applies
-/// pushes to a real [`Partition`], and the read-only overlay
-/// [`crate::probe::ProbeView`] answers feasibility without cloning or
-/// mutating. One kernel deciding both is what makes
-/// [`crate::probe::push_feasible`] agree with [`try_push_any_type`] by
-/// construction — there is no second legality implementation to drift.
-pub(crate) trait PushGrid: SweepGrid<Proc> {
-    /// Owner of canonical cell `(u, v)`.
-    fn get(&self, u: usize, v: usize) -> Proc;
-    /// Swap two canonical cells.
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize));
-    /// Does canonical column `v` contain elements of `proc`?
-    fn col_has(&self, proc: Proc, v: usize) -> bool;
-    /// Enclosing rectangle of `proc` in canonical coordinates. Consulted
-    /// only by [`prepare`], before any swap of the push, so overlay
-    /// implementations may answer it from their base grid.
-    fn enclosing_rect(&self, proc: Proc) -> Option<Rect>;
-    /// VoC line units of the underlying grid.
-    fn voc_units(&self) -> u64;
+    pub touched_mask: u64,
 }
 
 /// Phase 1 — locate the cleaned line and count the candidate interior
@@ -243,106 +218,13 @@ pub(crate) trait PushGrid: SweepGrid<Proc> {
 /// on demand by [`attempt`]). Returns `None` when no push of `proc` in
 /// this view's direction can exist at all (no elements, or a single-line
 /// enclosing rectangle that a push would be forced to enlarge).
-pub(crate) fn prepare<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared<Proc>> {
-    let rect = view.enclosing_rect(proc)?;
+pub(crate) fn prepare<G: PushGrid<Proc>>(view: &G, proc: Proc) -> Option<Prepared<Proc>> {
     Prepared::new(
         view,
         proc,
         proc.others().to_vec(),
-        (rect.top, rect.bottom, rect.left, rect.right),
+        view.enclosing_rect(proc)?,
     )
-}
-
-/// The eager per-bit sweep, kept as the test oracle for [`prepare`]:
-/// classifies every interior owner cell into its bucket up front and
-/// returns a fully extracted [`Prepared`] with unsaturated counts.
-#[cfg(test)]
-pub(crate) fn prepare_reference<G: PushGrid>(view: &G, proc: Proc) -> Option<Prepared<Proc>> {
-    let rect = view.enclosing_rect(proc)?;
-    if rect.height() <= 1 {
-        return None;
-    }
-    let k = rect.top;
-    let w_lo = rect.left / 64;
-    let w_hi = rect.right / 64;
-    let lo_mask = !0u64 << (rect.left % 64);
-    let hi_mask = {
-        let r = rect.right % 64;
-        if r == 63 {
-            !0u64
-        } else {
-            (1u64 << (r + 1)) - 1
-        }
-    };
-    let rect_mask = |w: usize| -> u64 {
-        let mut m = !0u64;
-        if w == w_lo {
-            m &= lo_mask;
-        }
-        if w == w_hi {
-            m &= hi_mask;
-        }
-        m
-    };
-    let mut cleaned: Vec<usize> = Vec::new();
-    for w in w_lo..=w_hi {
-        let mut bits = view.line_word(proc, k, w) & rect_mask(w);
-        while bits != 0 {
-            cleaned.push(w * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-    let m = cleaned.len();
-    let [o1, o2] = proc.others();
-    let wn = w_hi - w_lo + 1;
-    let mut col_ok = vec![0u64; wn];
-    let mut col_cleans = [vec![0u64; wn], vec![0u64; wn]];
-    for w in w_lo..=w_hi {
-        let row_k = view.line_word(proc, k, w);
-        let mut bits = rect_mask(w);
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let h = w * 64 + b;
-            let mut cnt = view.col_count(proc, h);
-            if (row_k >> b) & 1 == 1 {
-                cnt -= 1;
-            }
-            if cnt > 0 {
-                col_ok[w - w_lo] |= 1u64 << b;
-            }
-            if view.col_count(o1, h) == 1 {
-                col_cleans[0][w - w_lo] |= 1u64 << b;
-            }
-            if view.col_count(o2, h) == 1 {
-                col_cleans[1][w - w_lo] |= 1u64 << b;
-            }
-        }
-    }
-    let cap = m + 64;
-    let mut buckets: [[Vec<(usize, usize)>; 6]; 2] = Default::default();
-    for g in (k + 1)..=rect.bottom {
-        let row_dirty = usize::from(!view.row_has(proc, g));
-        for (slot, owner) in [o1, o2].into_iter().enumerate() {
-            let row_cleans = view.row_count(owner, g) == 1;
-            for w in w_lo..=w_hi {
-                let mut bits = view.line_word(owner, g, w) & rect_mask(w);
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let cost = row_dirty + usize::from((col_ok[w - w_lo] >> b) & 1 == 0);
-                    let cleans = row_cleans || (col_cleans[slot][w - w_lo] >> b) & 1 == 1;
-                    let bucket = cost * 2 + usize::from(!cleans);
-                    let vec = &mut buckets[slot][bucket];
-                    if vec.len() < cap {
-                        vec.push((g, w * 64 + b));
-                    }
-                }
-            }
-        }
-    }
-    let lists = buckets.iter().map(|b| b.concat()).collect();
-    Some(Prepared::from_lists(k, cleaned, vec![o1, o2], lists))
 }
 
 /// Outcome of a successful [`attempt`].
@@ -351,14 +233,14 @@ pub(crate) struct AttemptOutcome {
     pub(crate) delta: i64,
     /// Swaps performed.
     pub(crate) swaps: usize,
-    /// Processors whose elements moved, indexed by `Proc::idx()`.
-    pub(crate) touched: [bool; 3],
+    /// Processors whose elements moved (bit = `Proc::q()`).
+    pub(crate) touched_mask: u64,
 }
 
 /// Phases 2 and 3 of a push of `ty` — owner assignment, greedy pairing,
 /// swaps, and the final ΔVoC contract check. On failure every swap is
 /// rolled back and the grid is left exactly as it was.
-pub(crate) fn attempt<G: PushGrid>(
+pub(crate) fn attempt<G: PushGrid<Proc>>(
     view: &mut G,
     proc: Proc,
     ty: PushType,
@@ -446,7 +328,7 @@ pub(crate) fn attempt<G: PushGrid>(
     let mut journal: Vec<((usize, usize), (usize, usize))> = Vec::with_capacity(m);
     let mut dirty_lines_used = 0usize; // OneDirty budget
     let mut next_target = [0usize; 2];
-    let mut touched = [false; 3];
+    let mut touched_mask = 0u64;
     let mut ok = true;
 
     'elems: for (idx, &slot) in assignment.iter().enumerate() {
@@ -484,7 +366,7 @@ pub(crate) fn attempt<G: PushGrid>(
             }
             view.swap((k, v), (g, h));
             journal.push(((k, v), (g, h)));
-            touched[[o1, o2][slot].idx()] = true;
+            touched_mask |= 1u64 << [o1, o2][slot].q();
             dirty_lines_used += dirty_cost;
             break;
         }
@@ -510,11 +392,11 @@ pub(crate) fn attempt<G: PushGrid>(
         return None;
     }
 
-    touched[proc.idx()] = true;
+    touched_mask |= 1u64 << proc.q();
     Some(AttemptOutcome {
         delta,
         swaps: journal.len(),
-        touched,
+        touched_mask,
     })
 }
 
@@ -529,7 +411,7 @@ pub fn try_push(
 ) -> Option<AppliedPush> {
     let _span = hetmmm_obs::fine_span_arg("push.apply", ty as u64 + 1);
     let voc_before = part.voc_units() as i64;
-    let mut view = View::new(part, dir);
+    let mut view = View::new(part.grid_mut(), dir);
     let mut prep = prepare(&view, proc)?;
     attempt(&mut view, proc, ty, &mut prep, voc_before).map(|out| AppliedPush {
         proc,
@@ -537,7 +419,7 @@ pub fn try_push(
         ty,
         delta_voc_units: out.delta,
         swaps: out.swaps,
-        touched: out.touched,
+        touched_mask: out.touched_mask,
     })
 }
 
@@ -561,7 +443,7 @@ pub fn try_push(
 /// ```
 pub fn try_push_any_type(part: &mut Partition, proc: Proc, dir: Direction) -> Option<AppliedPush> {
     let voc_before = part.voc_units() as i64;
-    let mut view = View::new(part, dir);
+    let mut view = View::new(part.grid_mut(), dir);
     // Phase 1 is type-independent (and failed attempts roll back exactly),
     // so compute it once instead of once per type; buckets extracted by
     // one type's attempt serve the next.
@@ -574,7 +456,7 @@ pub fn try_push_any_type(part: &mut Partition, proc: Proc, dir: Direction) -> Op
             ty,
             delta_voc_units: out.delta,
             swaps: out.swaps,
-            touched: out.touched,
+            touched_mask: out.touched_mask,
         })
     })
 }
@@ -594,6 +476,7 @@ pub(crate) fn would_push_reference(part: &Partition, proc: Proc, dir: Direction)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepGrid;
     use hetmmm_partition::{random_partition, PartitionBuilder, Ratio, Rect};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -637,6 +520,16 @@ mod tests {
         }
     }
 
+    /// [`prepare`] through the eager reference sweep.
+    fn prepare_reference<G: PushGrid<Proc>>(view: &G, proc: Proc) -> Option<Prepared<Proc>> {
+        Prepared::eager(
+            view,
+            proc,
+            proc.others().to_vec(),
+            view.enclosing_rect(proc)?,
+        )
+    }
+
     /// [`try_push_any_type`] driven by the eager [`prepare_reference`].
     fn try_push_any_type_reference(
         part: &mut Partition,
@@ -644,7 +537,7 @@ mod tests {
         dir: Direction,
     ) -> Option<AppliedPush> {
         let voc_before = part.voc_units() as i64;
-        let mut view = View::new(part, dir);
+        let mut view = View::new(part.grid_mut(), dir);
         let mut prep = prepare_reference(&view, proc)?;
         PushType::ALL.iter().find_map(|&ty| {
             attempt(&mut view, proc, ty, &mut prep, voc_before).map(|out| AppliedPush {
@@ -653,7 +546,7 @@ mod tests {
                 ty,
                 delta_voc_units: out.delta,
                 swaps: out.swaps,
-                touched: out.touched,
+                touched_mask: out.touched_mask,
             })
         })
     }
@@ -672,7 +565,7 @@ mod tests {
     /// Lazy and eager phase 1 agree on `part` for `(proc, dir)`: same
     /// cleaned line, saturated counts, and fully forced target lists.
     fn assert_prepare_matches(part: &mut Partition, proc: Proc, dir: Direction) {
-        let view = View::new(part, dir);
+        let view = View::new(part.grid_mut(), dir);
         let lazy = prepare(&view, proc);
         let eager = prepare_reference(&view, proc);
         assert_eq!(lazy.is_some(), eager.is_some(), "{proc} {dir}");
@@ -753,7 +646,7 @@ mod tests {
             for proc in Proc::PUSHABLE {
                 for dir in Direction::ALL {
                     let mut scratch = part.clone();
-                    let mut view = View::new(&mut scratch, dir);
+                    let mut view = View::new(scratch.grid_mut(), dir);
                     let (Some(mut lazy), Some(mut eager)) =
                         (prepare(&view, proc), prepare_reference(&view, proc))
                     else {
@@ -770,7 +663,7 @@ mod tests {
                         let slot = idx % 2;
                         if let Some((g, h)) = lazy.target(&view, slot, next[slot]) {
                             next[slot] += 1;
-                            view.swap((k, v), (g, h));
+                            PushGrid::<Proc>::swap(&mut view, (k, v), (g, h));
                         }
                     }
                     for (slot, expected) in expected.iter().enumerate() {

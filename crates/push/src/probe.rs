@@ -7,254 +7,23 @@
 //!
 //! ## How it stays exact
 //!
-//! The probe runs the *same* push kernel ([`crate::op::prepare`] +
-//! [`crate::op::attempt`]) that applies real pushes, through the
-//! [`crate::op::PushGrid`] trait. Where a real push swaps cells of a
-//! [`Partition`], the probe's [`ProbeView`] records the swaps in a small
-//! overlay ([`ProbeScratch`]) layered over the immutable base grid:
-//! per-cell reassignments, per-line occupancy deltas, and the running ΔVoC,
-//! mirroring the incremental bookkeeping of `Partition::set` exactly. The
-//! base partition is never written, so a probe is safe on a shared
-//! reference, and because the kernel is shared there is no second legality
+//! The probe runs the *same* push kernel ([`crate::op::attempt`]) that
+//! applies real pushes, through the [`crate::view::PushGrid`] trait, on the
+//! read-only [`ProbeView`] overlay (see [`crate::view`]). The base
+//! partition is never written, so a probe is safe on a shared reference,
+//! and because the kernel is shared there is no second legality
 //! implementation that could drift from the real one.
 //!
-//! The overlay is O(cleaned-line) in size and reused across probes (via a
-//! thread-local in [`push_feasible`], or owned by a [`ProbeCache`]), so a
-//! probe allocates nothing in steady state. The old clone-based probe
-//! cloned the full O(N²) grid *per question*; see `DESIGN.md` §11 for the
-//! measured effect.
+//! The overlay is O(cleaned-line) in size and reused across probes (the
+//! thread-local behind [`crate::view::with_probe_scratch`], or the one a
+//! [`ProbeCache`] owns), so a probe allocates nothing in steady state. The
+//! old clone-based probe cloned the full O(N²) grid *per question*; see
+//! `DESIGN.md` §11 for the measured effect.
 
-use crate::geom::Axis;
-use crate::op::{attempt, prepare, Direction, PushGrid, PushType};
-use crate::sweep::SweepGrid;
+use crate::op::{attempt, prepare, Direction, PushType};
+use crate::view::{with_probe_scratch, ProbeScratch, ProbeView};
 use hetmmm_obs as obs;
-use hetmmm_partition::{Partition, Proc, Rect};
-use std::cell::RefCell;
-
-/// Reusable overlay storage for one probe at a time. Cheap to keep around,
-/// cleared (not freed) between probes.
-///
-/// All three maps are sparse, keyed by the lines/cells a probe actually
-/// touches — O(cleaned-line) entries — instead of mirroring `n`-sized
-/// per-cell or per-line state. With the base grid now answering line
-/// queries from bit-planes there is nothing dimension-shaped left to
-/// pre-size, so the scratch needs no `ensure(n)` step and is identical for
-/// every grid size.
-#[derive(Debug, Default)]
-pub(crate) struct ProbeScratch {
-    /// Overlay cell assignments as `(flat index, owner q)`. Linear-scanned:
-    /// a probe touches at most one cleaned line's worth of cells.
-    cells: Vec<(u32, u8)>,
-    /// Per-row element-count deltas relative to the base, one `[i32; 3]`
-    /// per touched row. Linear-scanned like `cells`.
-    row_delta: Vec<(u32, [i32; 3])>,
-    /// Per-column element-count deltas relative to the base.
-    col_delta: Vec<(u32, [i32; 3])>,
-    /// Overlay ΔVoC in line units relative to the base.
-    voc_delta: i64,
-}
-
-impl ProbeScratch {
-    /// Empty the overlay without freeing its storage.
-    fn reset(&mut self) {
-        self.cells.clear();
-        self.row_delta.clear();
-        self.col_delta.clear();
-        self.voc_delta = 0;
-    }
-}
-
-/// A read-only, direction-canonicalized view: the base [`Partition`] plus
-/// the [`ProbeScratch`] overlay. Implements the same canonical-coordinate
-/// mapping as [`crate::view::View`] (see the table there).
-pub(crate) struct ProbeView<'a> {
-    base: &'a Partition,
-    scratch: &'a mut ProbeScratch,
-    dir: Direction,
-    n: usize,
-}
-
-impl ProbeView<'_> {
-    crate::canonical_geometry!(dir: crate::op::Direction, proc: Proc, base: base);
-
-    /// Owner of real cell `(i, j)`, overlay first.
-    #[inline]
-    fn get_real(&self, i: usize, j: usize) -> Proc {
-        let idx = (i * self.n + j) as u32;
-        for &(k, q) in &self.scratch.cells {
-            if k == idx {
-                return Proc::from_q(q);
-            }
-        }
-        self.base.get(i, j)
-    }
-
-    /// Overlay-adjusted element count of `proc` in real row `i`.
-    #[inline]
-    fn row_count_real(&self, proc: Proc, i: usize) -> i64 {
-        let delta = self
-            .scratch
-            .row_delta
-            .iter()
-            .find(|(r, _)| *r == i as u32)
-            .map_or(0, |(_, d)| d[proc.idx()]);
-        i64::from(self.base.row_count(proc, i)) + i64::from(delta)
-    }
-
-    /// Overlay-adjusted element count of `proc` in real column `j`.
-    #[inline]
-    fn col_count_real(&self, proc: Proc, j: usize) -> i64 {
-        let delta = self
-            .scratch
-            .col_delta
-            .iter()
-            .find(|(c, _)| *c == j as u32)
-            .map_or(0, |(_, d)| d[proc.idx()]);
-        i64::from(self.base.col_count(proc, j)) + i64::from(delta)
-    }
-
-    fn bump_row(&mut self, proc: Proc, i: usize, by: i32) {
-        match self
-            .scratch
-            .row_delta
-            .iter_mut()
-            .find(|(r, _)| *r == i as u32)
-        {
-            Some((_, d)) => d[proc.idx()] += by,
-            None => {
-                let mut d = [0i32; 3];
-                d[proc.idx()] = by;
-                self.scratch.row_delta.push((i as u32, d));
-            }
-        }
-    }
-
-    fn bump_col(&mut self, proc: Proc, j: usize, by: i32) {
-        match self
-            .scratch
-            .col_delta
-            .iter_mut()
-            .find(|(c, _)| *c == j as u32)
-        {
-            Some((_, d)) => d[proc.idx()] += by,
-            None => {
-                let mut d = [0i32; 3];
-                d[proc.idx()] = by;
-                self.scratch.col_delta.push((j as u32, d));
-            }
-        }
-    }
-
-    /// Overlay mirror of `Partition::set`: reassign real cell `(i, j)` and
-    /// update the per-line deltas and ΔVoC with the same 1→0 / 0→1
-    /// transition rules the real grid uses.
-    fn set_real(&mut self, i: usize, j: usize, proc: Proc) {
-        let old = self.get_real(i, j);
-        if old == proc {
-            return;
-        }
-        let idx = (i * self.n + j) as u32;
-        match self.scratch.cells.iter_mut().find(|(k, _)| *k == idx) {
-            Some(entry) => entry.1 = proc.q(),
-            None => self.scratch.cells.push((idx, proc.q())),
-        }
-        // Row i bookkeeping (count-before-transition rules, as in set()).
-        if self.row_count_real(old, i) == 1 {
-            self.scratch.voc_delta -= 1;
-        }
-        self.bump_row(old, i, -1);
-        if self.row_count_real(proc, i) == 0 {
-            self.scratch.voc_delta += 1;
-        }
-        self.bump_row(proc, i, 1);
-        // Column j bookkeeping.
-        if self.col_count_real(old, j) == 1 {
-            self.scratch.voc_delta -= 1;
-        }
-        self.bump_col(old, j, -1);
-        if self.col_count_real(proc, j) == 0 {
-            self.scratch.voc_delta += 1;
-        }
-        self.bump_col(proc, j, 1);
-    }
-}
-
-impl PushGrid for ProbeView<'_> {
-    #[inline]
-    fn get(&self, u: usize, v: usize) -> Proc {
-        let (i, j) = self.map(u, v);
-        self.get_real(i, j)
-    }
-
-    fn swap(&mut self, a: (usize, usize), b: (usize, usize)) {
-        let ra = self.map(a.0, a.1);
-        let rb = self.map(b.0, b.1);
-        let pa = self.get_real(ra.0, ra.1);
-        let pb = self.get_real(rb.0, rb.1);
-        if pa == pb {
-            return;
-        }
-        self.set_real(ra.0, ra.1, pb);
-        self.set_real(rb.0, rb.1, pa);
-    }
-
-    #[inline]
-    fn col_has(&self, proc: Proc, v: usize) -> bool {
-        self.col_count(proc, v) > 0
-    }
-
-    /// Canonical enclosing rectangle, answered from the *base* grid. The
-    /// kernel only consults it in [`prepare`], before any overlay swap, so
-    /// base and overlay agree whenever this is called (leftover identity
-    /// entries from a rolled-back attempt have zero net occupancy effect).
-    fn enclosing_rect(&self, proc: Proc) -> Option<Rect> {
-        let r = self.base.enclosing_rect(proc)?;
-        let (top, bottom, left, right) = self.canon_rect(r.top, r.bottom, r.left, r.right);
-        Some(Rect::new(top, bottom, left, right))
-    }
-
-    #[inline]
-    fn voc_units(&self) -> u64 {
-        let units = self.base.voc_units() as i64 + self.scratch.voc_delta;
-        debug_assert!(units >= 0, "overlay drove voc_units negative");
-        units as u64
-    }
-}
-
-impl SweepGrid<Proc> for ProbeView<'_> {
-    #[inline]
-    fn row_has(&self, proc: Proc, u: usize) -> bool {
-        self.row_count(proc, u) > 0
-    }
-
-    #[inline]
-    fn row_count(&self, proc: Proc, u: usize) -> u32 {
-        let count = match self.canon_row_line(u) {
-            (i, Axis::Row) => self.row_count_real(proc, i),
-            (j, Axis::Col) => self.col_count_real(proc, j),
-        };
-        debug_assert!(count >= 0, "overlay drove a line count negative");
-        count as u32
-    }
-
-    #[inline]
-    fn col_count(&self, proc: Proc, v: usize) -> u32 {
-        let count = match self.canon_col_line(v) {
-            (j, Axis::Col) => self.col_count_real(proc, j),
-            (i, Axis::Row) => self.row_count_real(proc, i),
-        };
-        debug_assert!(count >= 0, "overlay drove a line count negative");
-        count as u32
-    }
-
-    /// Bit-plane line words, answered from the *base* grid: the pre-push
-    /// grid throughout a probe, as [`SweepGrid::line_word`] requires for
-    /// extraction mid-attempt.
-    #[inline]
-    fn line_word(&self, proc: Proc, u: usize, w: usize) -> u64 {
-        self.plane_line_word(proc, u, w)
-    }
-}
+use hetmmm_partition::{Partition, PlaneId, Proc};
 
 /// [`push_feasible`] against caller-owned scratch storage; used by
 /// [`ProbeCache`] so cached probes never touch the thread-local.
@@ -270,24 +39,14 @@ pub(crate) fn push_feasible_with(
             .counter(obs::metrics::names::PUSH_PROBES)
             .inc();
     }
-    scratch.reset();
     let voc_before = part.voc_units() as i64;
-    let mut view = ProbeView {
-        base: part,
-        scratch,
-        dir,
-        n: part.n(),
-    };
+    let mut view = ProbeView::new(part, scratch, dir);
     let Some(mut prep) = prepare(&view, proc) else {
         return false;
     };
     PushType::ALL
         .iter()
         .any(|&ty| attempt(&mut view, proc, ty, &mut prep, voc_before).is_some())
-}
-
-thread_local! {
-    static SCRATCH: RefCell<ProbeScratch> = RefCell::new(ProbeScratch::default());
 }
 
 /// Non-mutating query: would *any* type of push of `proc` in `dir` be
@@ -310,13 +69,14 @@ thread_local! {
 /// assert_eq!(part.get(1, 2), Proc::R);
 /// ```
 pub fn push_feasible(part: &Partition, proc: Proc, dir: Direction) -> bool {
-    SCRATCH.with(|scratch| push_feasible_with(&mut scratch.borrow_mut(), part, proc, dir))
+    with_probe_scratch(|scratch| push_feasible_with(scratch, part, proc, dir))
 }
 
-/// Hash-verified probe-verdict cache for one DFA run.
+/// Hash-verified probe-verdict cache for one search run, serving both
+/// the 3-processor DFA and the k-processor search.
 ///
-/// One slot per `(pushable proc, direction)` pair holds the partition
-/// [`state_hash`](Partition::state_hash) a verdict was computed at. A
+/// One slot per `(plane, direction)` pair holds the grid
+/// [`state_hash`](hetmmm_partition::NPartition::state_hash) a verdict was computed at. A
 /// lookup hits only on an **exact hash match** — that is what makes the
 /// cache sound: a push by one processor can flip another processor's probe
 /// verdict (the swap rewrites cells of a displaced receiver), so
@@ -324,22 +84,29 @@ pub fn push_feasible(part: &Partition, proc: Proc, dir: Direction) -> bool {
 /// verdicts. [`ProbeCache::evict_touched`] is still worth calling after a
 /// successful push — it is eviction hygiene that keeps slots from pinning
 /// hashes that can never match again — but correctness never depends on it.
-#[derive(Debug, Default)]
-pub(crate) struct ProbeCache {
+#[derive(Debug)]
+pub struct ProbeCache {
     scratch: ProbeScratch,
-    /// `(state hash, verdict)` per slot; slot = `proc.idx() * 4 + dir`.
-    slots: [Option<(u64, bool)>; 8],
+    /// `(state hash, verdict)` per slot; slot = `plane * 4 + dir`.
+    slots: Vec<Option<(u64, bool)>>,
 }
 
 impl ProbeCache {
-    fn slot(proc: Proc, dir: Direction) -> usize {
-        debug_assert!(proc != Proc::P, "P is never pushed");
-        proc.idx() * 4 + dir.index()
+    /// An empty cache for a `k`-processor grid.
+    pub fn new(k: usize) -> ProbeCache {
+        ProbeCache {
+            scratch: ProbeScratch::default(),
+            slots: vec![None; k * Direction::ALL.len()],
+        }
+    }
+
+    fn slot(plane: u8, dir: Direction) -> usize {
+        usize::from(plane) * Direction::ALL.len() + dir.index()
     }
 
     /// Cached verdict for `(proc, dir)` at exactly `hash`, if any.
-    pub(crate) fn lookup(&mut self, hash: u64, proc: Proc, dir: Direction) -> Option<bool> {
-        let (h, verdict) = self.slots[Self::slot(proc, dir)]?;
+    pub fn lookup<P: PlaneId>(&mut self, hash: u64, proc: P, dir: Direction) -> Option<bool> {
+        let (h, verdict) = self.slots[Self::slot(proc.plane(), dir)]?;
         if h != hash {
             return None;
         }
@@ -352,8 +119,8 @@ impl ProbeCache {
     }
 
     /// Record a verdict computed at `hash`.
-    pub(crate) fn record(&mut self, hash: u64, proc: Proc, dir: Direction, verdict: bool) {
-        self.slots[Self::slot(proc, dir)] = Some((hash, verdict));
+    pub fn record<P: PlaneId>(&mut self, hash: u64, proc: P, dir: Direction, verdict: bool) {
+        self.slots[Self::slot(proc.plane(), dir)] = Some((hash, verdict));
     }
 
     /// Probe through the cache: serve a hash-matching slot, otherwise
@@ -368,14 +135,13 @@ impl ProbeCache {
         verdict
     }
 
-    /// Drop the slots of every processor a successful push moved elements
-    /// of (see the type-level docs: hygiene, not a correctness mechanism).
-    pub(crate) fn evict_touched(&mut self, touched: &[bool; 3]) {
-        for proc in Proc::PUSHABLE {
-            if touched[proc.idx()] {
-                for dir in Direction::ALL {
-                    self.slots[Self::slot(proc, dir)] = None;
-                }
+    /// Drop the slots of every plane set in `touched_mask` (bit = plane
+    /// id): the processors a successful push moved elements of (see the
+    /// type-level docs: hygiene, not a correctness mechanism).
+    pub fn evict_touched(&mut self, touched_mask: u64) {
+        for (plane, slots) in self.slots.chunks_mut(Direction::ALL.len()).enumerate() {
+            if touched_mask & (1u64 << plane) != 0 {
+                slots.fill(None);
             }
         }
     }
@@ -466,7 +232,7 @@ mod tests {
     fn cache_hits_only_on_exact_hash() {
         let mut rng = StdRng::seed_from_u64(5);
         let part = random_partition(10, Ratio::new(2, 1, 1), &mut rng);
-        let mut cache = ProbeCache::default();
+        let mut cache = ProbeCache::new(3);
         let verdict = cache.probe(&part, Proc::R, Direction::Down);
         // Same state: served from the slot.
         assert_eq!(
@@ -484,10 +250,10 @@ mod tests {
     fn cache_eviction_clears_touched_processors_only() {
         let mut rng = StdRng::seed_from_u64(6);
         let part = random_partition(10, Ratio::new(2, 1, 1), &mut rng);
-        let mut cache = ProbeCache::default();
+        let mut cache = ProbeCache::new(3);
         cache.probe(&part, Proc::R, Direction::Down);
         cache.probe(&part, Proc::S, Direction::Up);
-        cache.evict_touched(&[true, false, false]); // R moved, S did not
+        cache.evict_touched(1 << Proc::R.q()); // R moved, S did not
         assert_eq!(
             cache.lookup(part.state_hash(), Proc::R, Direction::Down),
             None
@@ -495,5 +261,12 @@ mod tests {
         assert!(cache
             .lookup(part.state_hash(), Proc::S, Direction::Up)
             .is_some());
+        // k-processor plane ids address the same slot table.
+        let mut cache = ProbeCache::new(5);
+        cache.record(7, 4u8, Direction::Left, true);
+        cache.record(7, 1u8, Direction::Left, false);
+        cache.evict_touched(1 << 1);
+        assert_eq!(cache.lookup(7, 4u8, Direction::Left), Some(true));
+        assert_eq!(cache.lookup(7, 1u8, Direction::Left), None);
     }
 }

@@ -53,6 +53,7 @@
 //! their base grid, which is the pre-push grid throughout.
 
 use hetmmm_obs as obs;
+use hetmmm_partition::Rect;
 
 /// Grid reads the sweep needs, generic over the processor id type
 /// (`Proc` for the 3-processor kernel, `u8` for the k-processor one).
@@ -163,15 +164,21 @@ pub struct Prepared<P> {
 
 impl<P: Copy> Prepared<P> {
     /// Locate the cleaned line of `proc`'s canonical enclosing rectangle
-    /// `(top, bottom, left, right)`, freeze the bucket flags and count each
-    /// owner's targets. `None` when the rectangle is a single line: a push
-    /// would have to enlarge it, which is forbidden.
+    /// `rect`, freeze the bucket flags and count each owner's targets.
+    /// `None` when the rectangle is a single line: a push would have to
+    /// enlarge it, which is forbidden.
     pub fn new<G: SweepGrid<P>>(
         grid: &G,
         proc: P,
         owners: Vec<P>,
-        (top, bottom, left, right): (usize, usize, usize, usize),
+        rect: Rect,
     ) -> Option<Prepared<P>> {
+        let Rect {
+            top,
+            bottom,
+            left,
+            right,
+        } = rect;
         if bottom <= top {
             return None;
         }
@@ -291,18 +298,74 @@ impl<P: Copy> Prepared<P> {
         })
     }
 
-    /// A fully extracted `Prepared` over given target lists, with
-    /// unsaturated counts: how a reference sweep that extracts every bucket
-    /// eagerly drives the same matcher.
+    /// The eager per-bit sweep, kept as the test oracle for
+    /// [`Prepared::new`]: classifies every interior owner cell into its
+    /// bucket up front and returns a fully extracted `Prepared` with
+    /// unsaturated counts, driving the same matcher.
     #[doc(hidden)]
-    pub fn from_lists(
-        k: usize,
-        cleaned: Vec<usize>,
+    pub fn eager<G: SweepGrid<P>>(
+        grid: &G,
+        proc: P,
         owners: Vec<P>,
-        lists: Vec<Vec<(usize, usize)>>,
-    ) -> Prepared<P> {
+        rect: Rect,
+    ) -> Option<Prepared<P>> {
+        if rect.height() <= 1 {
+            return None;
+        }
+        let k = rect.top;
+        let (w_lo, w_hi) = (rect.left / 64, rect.right / 64);
+        let wn = w_hi - w_lo + 1;
+        let mut cleaned: Vec<usize> = Vec::new();
+        let mut col_ok = vec![0u64; wn];
+        let mut col_cleans = vec![vec![0u64; wn]; owners.len()];
+        for w in w_lo..=w_hi {
+            let row_k = grid.line_word(proc, k, w);
+            let mut bits = rect_word(w, rect.left, rect.right);
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let h = w * 64 + b;
+                let mut cnt = grid.col_count(proc, h);
+                if (row_k >> b) & 1 == 1 {
+                    cleaned.push(h);
+                    cnt -= 1;
+                }
+                if cnt > 0 {
+                    col_ok[w - w_lo] |= 1u64 << b;
+                }
+                for (slot, &owner) in owners.iter().enumerate() {
+                    if grid.col_count(owner, h) == 1 {
+                        col_cleans[slot][w - w_lo] |= 1u64 << b;
+                    }
+                }
+            }
+        }
+        let cap = cleaned.len() + 64;
+        let mut buckets: Vec<[Vec<(usize, usize)>; BUCKETS as usize]> =
+            (0..owners.len()).map(|_| Default::default()).collect();
+        for g in (k + 1)..=rect.bottom {
+            let row_dirty = usize::from(!grid.row_has(proc, g));
+            for (slot, &owner) in owners.iter().enumerate() {
+                let row_cleans = grid.row_count(owner, g) == 1;
+                for w in w_lo..=w_hi {
+                    let mut bits =
+                        grid.line_word(owner, g, w) & rect_word(w, rect.left, rect.right);
+                    while bits != 0 {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let cost = row_dirty + usize::from((col_ok[w - w_lo] >> b) & 1 == 0);
+                        let cleans = row_cleans || (col_cleans[slot][w - w_lo] >> b) & 1 == 1;
+                        let bucket = &mut buckets[slot][cost * 2 + usize::from(!cleans)];
+                        if bucket.len() < cap {
+                            bucket.push((g, w * 64 + b));
+                        }
+                    }
+                }
+            }
+        }
         let slots = owners.len();
-        Prepared {
+        let lists: Vec<Vec<(usize, usize)>> = buckets.iter().map(|b| b.concat()).collect();
+        Some(Prepared {
             k,
             cleaned,
             owners,
@@ -315,7 +378,7 @@ impl<P: Copy> Prepared<P> {
             avail: lists.iter().map(Vec::len).collect(),
             lists,
             next_bucket: vec![BUCKETS; slots],
-        }
+        })
     }
 
     /// Canonical index of the cleaned line.

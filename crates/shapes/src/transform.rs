@@ -76,7 +76,7 @@ fn best_archetype_a_rebuild(part: &Partition) -> Option<Partition> {
         .iter()
         .filter_map(|ty| ty.construct_from_areas(n, e_r, e_s))
         .map(|c| c.partition)
-        .min_by_key(Partition::voc)
+        .min_by_key(|c| c.voc())
 }
 
 /// Reduce any condensed partition to Archetype A without increasing VoC

@@ -1,11 +1,12 @@
-//! Keep-alive oracles for the bit-plane grids.
+//! Keep-alive oracles for the bit-plane grid store.
 //!
-//! `Partition` and `NPartition` store ownership as per-processor bit-planes
-//! (one `u64` word per 64 columns per line); these properties pin the
-//! bit-plane-derived state — occupancy counts, line predicates, enclosing
-//! rectangles, plane words — against a from-scratch reference `Vec` of
-//! owners rebuilt after every arbitrary `set` sequence. Sizes straddle the
-//! 64-bit word boundary so tail-word masking stays covered.
+//! `NPartition` stores ownership as per-processor bit-planes (one `u64`
+//! word per 64 columns per line), and `Partition` is its `k = 3` facade;
+//! these properties pin the bit-plane-derived state — occupancy counts,
+//! line predicates, enclosing rectangles, plane words — against a
+//! from-scratch reference `Vec` of owners rebuilt after every arbitrary
+//! `set` sequence. Sizes straddle the 64-bit word boundary so tail-word
+//! masking stays covered.
 
 use hetmmm::prelude::*;
 use hetmmm_nproc::NPartition;
@@ -77,17 +78,22 @@ fn grid_sizes() -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Three-processor grid: every bit-plane-derived query agrees with the
-    /// reference `Vec` after an arbitrary random `set` sequence.
+    /// Three-processor grid: every bit-plane-derived query of the
+    /// `Partition` facade agrees with the reference `Vec` after an
+    /// arbitrary random `set` sequence, and the facade equals a k = 3
+    /// store driven by the same churn.
     #[test]
     fn partition_matches_vec_oracle(seed in 0u64..1_000_000, n in grid_sizes()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut part = Partition::new(n, Proc::P);
+        let mut store = NPartition::new(n, 3);
         let mut oracle = VecOracle::new(n, Proc::P.q());
+        store.fill_rect(Rect::new(0, n - 1, 0, n - 1), Proc::P.q());
         for _ in 0..600 {
             let (i, j) = (rng.random_range(0..n), rng.random_range(0..n));
             let p = [Proc::R, Proc::S, Proc::P][rng.random_range(0..3)];
             part.set(i, j, p);
+            store.set(i, j, p.q());
             oracle.set(i, j, p.q());
         }
         for p in [Proc::R, Proc::S, Proc::P] {
@@ -106,6 +112,7 @@ proptest! {
                 }
             }
         }
+        prop_assert!(*part == store, "facade and store diverged");
         part.assert_invariants();
     }
 
@@ -127,6 +134,8 @@ proptest! {
             let cols = (0..n).filter(|&j| part.col_has(p, j)).count();
             prop_assert_eq!(rows, oracle.rows_occupied(p));
             prop_assert_eq!(cols, oracle.cols_occupied(p));
+            prop_assert_eq!(part.rows_occupied(p), rows);
+            prop_assert_eq!(part.cols_occupied(p), cols);
             let rect = part.enclosing_rect(p)
                 .map(|r| (r.top, r.bottom, r.left, r.right));
             prop_assert_eq!(rect, oracle.rect(p));
@@ -175,10 +184,8 @@ fn single_line_partitions_round_trip() {
     for i in 60..70 {
         npart.set(i, 65, 2);
     }
-    let r1 = npart.enclosing_rect(1).unwrap();
-    assert_eq!((r1.top, r1.bottom, r1.left, r1.right), (3, 3, 10, 49));
-    let r2 = npart.enclosing_rect(2).unwrap();
-    assert_eq!((r2.top, r2.bottom, r2.left, r2.right), (60, 69, 65, 65));
+    assert_eq!(npart.enclosing_rect(1), Some(Rect::new(3, 3, 10, 49)));
+    assert_eq!(npart.enclosing_rect(2), Some(Rect::new(60, 69, 65, 65)));
     npart.assert_invariants();
 }
 
@@ -188,13 +195,13 @@ fn single_line_partitions_round_trip() {
 /// word sweeps feed both).
 #[test]
 fn probe_agrees_with_reference_across_word_boundaries() {
-    use hetmmm_nproc::{push_feasible_n, try_push_n, NDirection};
+    use hetmmm_nproc::{push_feasible_n, try_push_n};
     for n in [63usize, 64, 65] {
         let mut rng = StdRng::seed_from_u64(7);
         let mut part = NPartition::random(n, &[5, 3, 2], &mut rng);
         for _ in 0..3 {
             for proc in 1..3u8 {
-                for dir in NDirection::ALL {
+                for dir in Direction::ALL {
                     let probe = push_feasible_n(&part, proc, dir);
                     let mut clone = part.clone();
                     let oracle = try_push_n(&mut clone, proc, dir).is_some();

@@ -96,14 +96,14 @@ fn k3_search_reaches_comparable_quality() {
 
 #[test]
 fn generalized_push_preserves_conservation_at_k3() {
-    use hetmmm_nproc::{try_push_n, NDirection};
+    use hetmmm_nproc::try_push_n;
     let mut rng = StdRng::seed_from_u64(14);
     let part = random_partition(20, Ratio::new(3, 1, 1), &mut rng);
     let mut npart = mirror(&part);
     let before: Vec<usize> = (0..3).map(|p| npart.elems(p as u8)).collect();
     let mut voc = npart.voc();
     for proc in 1..3u8 {
-        for dir in NDirection::ALL {
+        for dir in Direction::ALL {
             if let Some(ap) = try_push_n(&mut npart, proc, dir) {
                 assert!(ap.delta_voc_units <= 0);
                 assert!(npart.voc() <= voc);
